@@ -14,12 +14,7 @@
 // byte-identical at any setting — only wall-clock changes, reported per run
 // and in total on stderr. -sliceworkers bounds how many slices a single
 // -slices run analyzes concurrently (default GOMAXPROCS); the sliced table
-// too is byte-identical at any setting. -rawcfg and -nomemo time the
-// superblock/memo ablations; -nosparse falls back to the dense FIFO
-// worklist and -nostruct keeps the sparse scheduler but ignores loop
-// structure (plain RPO batching, no region memoization). All four
-// ablations leave every table byte-identical — only timing and the stderr
-// telemetry change.
+// too is byte-identical at any setting.
 // -cpuprofile/-memprofile write pprof profiles; every engine run is labeled
 // with its suite, engine and (when sliced) slice, so `go tool pprof -tags`
 // attributes samples.
@@ -108,10 +103,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		parallel    = fs.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent engine runs (1 = serial)")
 		slices      = fs.Bool("slices", false, "render the site-sliced vs monolithic cost table")
 		sliceWkrs   = fs.Int("sliceworkers", runtime.GOMAXPROCS(0), "max concurrent slices per -slices run (1 = serial)")
-		rawcfg      = fs.Bool("rawcfg", false, "run order-insensitive solvers on the uncompressed CFG view (A/B ablation; tables are identical, only timing changes)")
-		nomemo      = fs.Bool("nomemo", false, "disable the per-superedge transfer caches (A/B ablation)")
-		nosparse    = fs.Bool("nosparse", false, "run order-insensitive solvers on the dense FIFO worklist instead of the structure-driven sparse scheduler (A/B ablation)")
-		nostruct    = fs.Bool("nostruct", false, "keep the sparse scheduler but ignore loop structure: plain RPO batching, no region memoization (A/B ablation)")
 		record      = fs.String("record", "", "record one live swift-async schedule per benchmark into this directory")
 		replay      = fs.String("replay", "", "render the swift-async table by deterministically replaying the traces in this directory")
 		warmbench   = fs.Bool("warmbench", false, "run the cold-vs-warm summary-store benchmark")
@@ -150,11 +141,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintf(stderr, "swiftbench: unexpected arguments: %v\n", fs.Args())
-		fs.Usage()
-		return 2
-	}
-	if *nosparse && *nostruct {
-		fmt.Fprintf(stderr, "swiftbench: -nostruct is only meaningful without -nosparse (the dense worklist has no structure to ignore)\n")
 		fs.Usage()
 		return 2
 	}
@@ -220,10 +206,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	if *quick {
 		budget = bench.QuickBudget()
 	}
-	budget.RawCFG = *rawcfg
-	budget.NoTransferMemo = *nomemo
-	budget.NoSparse = *nosparse
-	budget.NoStructIndex = *nostruct
 	budget.FaultEvery = *faultevery
 	budget.FaultSeed = *faultseed
 	s := bench.NewSuite()

@@ -39,22 +39,6 @@ type Budget struct {
 	Relations int
 	Timeout   time.Duration
 
-	// RawCFG and NoTransferMemo forward the corresponding core.Config A/B
-	// knobs: run the order-insensitive solvers on the uncompressed
-	// control-flow view and/or without the per-superedge transfer caches.
-	// Result tables are identical either way (budgets are counted in
-	// original-graph units); the knobs exist so the experiment harness can
-	// time the ablations.
-	RawCFG         bool
-	NoTransferMemo bool
-
-	// NoSparse and NoStructIndex forward the sparse-scheduler ablation
-	// knobs: dense FIFO fact draining, or sparse draining without the
-	// loop-structure index (plain RPO batching, no region memoization).
-	// Like RawCFG, result tables are identical either way.
-	NoSparse      bool
-	NoStructIndex bool
-
 	// FaultEvery, when positive, arms a seeded fault-injection plan on
 	// every engine run (roughly one injected fault per FaultEvery client
 	// operations, drawn from FaultSeed): a chaos-smoke mode proving the
@@ -96,10 +80,6 @@ func (b Budget) config(k, theta int) core.Config {
 	cfg.MaxPathEdges = b.PathEdges
 	cfg.MaxRelations = b.Relations
 	cfg.Timeout = b.Timeout
-	cfg.RawCFG = b.RawCFG
-	cfg.NoTransferMemo = b.NoTransferMemo
-	cfg.NoSparse = b.NoSparse
-	cfg.NoStructIndex = b.NoStructIndex
 	if b.FaultEvery > 0 {
 		cfg.Fault = core.SeededFaultPlan(b.FaultSeed, b.FaultEvery)
 	}

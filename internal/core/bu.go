@@ -261,7 +261,7 @@ func (b *buSolver[S, R, P]) eval(f string, c ir.Cmd, x RSet[R, P]) (RSet[R, P], 
 // slice — which callers never mutate — is indistinguishable from a fresh
 // call.
 func (b *buSolver[S, R, P]) rtrans(c *ir.Prim, r R) []R {
-	if b.budget.NoTransferMemo {
+	if b.budget.solver == pathReference {
 		return b.client.RTrans(c, r)
 	}
 	if b.rmemo == nil {

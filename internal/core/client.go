@@ -194,40 +194,6 @@ type Config struct {
 	// only supported signal; sending on it does nothing.
 	Cancel <-chan struct{}
 
-	// RawCFG forces the order-insensitive solvers (RunTD, and RunBU's
-	// instantiation pass) onto the raw one-superedge-per-edge control-flow
-	// view instead of the compressed superblock view. Both views produce
-	// identical result tables and identical counters — budgets are counted
-	// in original-graph units either way — so this is an A/B knob for
-	// benchmarking and for the equivalence property tests, not a semantic
-	// switch. The hybrid engines always run on the raw view regardless
-	// (their trigger sampling is traversal-order-sensitive; see DESIGN.md).
-	RawCFG bool
-
-	// NoTransferMemo disables the per-superedge transfer caches (the
-	// top-down chain memo and the bottom-up RTrans memo), making every
-	// traversal call the client afresh — the pre-memoization behaviour.
-	// Like RawCFG, results and counters are identical either way.
-	NoTransferMemo bool
-
-	// NoSparse forces the order-insensitive solvers (RunTD, and RunBU's
-	// instantiation pass) onto the dense FIFO fact worklist instead of the
-	// structure-driven sparse scheduler (sparse.go). Both schedulers
-	// produce identical result tables and identical counters — budgets and
-	// Steps are counted in original-graph units either way — so, like
-	// RawCFG, this is an A/B knob for benchmarking and the equivalence
-	// property tests, not a semantic switch. The hybrid engines always run
-	// dense regardless (their trigger sampling is order-sensitive).
-	NoSparse bool
-
-	// NoStructIndex keeps the sparse scheduler but strips its use of the
-	// loop-structure index: nodes drain in plain reverse postorder with no
-	// region priority, and region-level closure memoization is disabled.
-	// An ablation knob isolating the structure index's contribution from
-	// plain batched RPO draining; results and counters are identical
-	// either way. Implied moot when NoSparse is set.
-	NoStructIndex bool
-
 	// Fault, when non-nil, arms the deterministic fault-injection layer:
 	// every engine entry point wraps the client so the plan's scheduled
 	// faults (errors, panics, stalls, forced budget exhaustion) fire at
@@ -280,7 +246,31 @@ type Config struct {
 	// re-ranking against it tends to evict the dominant case (the ablation
 	// benchmarks record this).
 	Resummarize int
+
+	// solver selects a test-only solver path (see solverPath); production
+	// runs leave it zero.
+	solver solverPath
 }
+
+// solverPath names the solver paths the equivalence tests compare. Only
+// the tests in this package set it (export_test.go): every engine has one
+// production path, and results and counters are identical on all three.
+type solverPath uint8
+
+const (
+	// pathDefault is production: td and bu instantiation run the sparse
+	// scheduler with the structure index and region memo over the
+	// compressed view with the transfer memo; the hybrids run the dense
+	// FIFO over the raw view with the memo.
+	pathDefault solverPath = iota
+	// pathDense forces newSparseState's packing-limit fallback, so td and
+	// bu instantiation run the dense FIFO over the compressed view exactly
+	// as they do on a program too large to pack.
+	pathDense
+	// pathReference is the pre-optimisation solver for every engine: the
+	// raw view, the dense FIFO and no transfer memo.
+	pathReference
+)
 
 // DefaultConfig returns the configuration used throughout the evaluation
 // section: the paper's overall-optimal thresholds k=5, θ=1 and generous

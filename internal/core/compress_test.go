@@ -3,10 +3,11 @@ package core_test
 // Equivalence tests for the superblock-compressed solver view and the
 // transfer memo: on every program we can get our hands on — the killgen
 // fixture, randomized killgen programs, testdata/, and generated
-// paper-mirror benchmarks — the compressed and raw solvers must produce
-// identical TDResult tables and identical counters, and the memo must be
-// observably transparent in every engine including the order-sensitive
-// hybrid.
+// paper-mirror benchmarks — the production solvers and the test-only
+// reference path (raw view, dense FIFO, no memo; see core.Reference) must
+// produce identical TDResult tables and identical counters, and the memo
+// must be observably transparent in every engine including the
+// order-sensitive hybrid.
 
 import (
 	"cmp"
@@ -44,29 +45,19 @@ func sameTD[S cmp.Ordered](t *testing.T, label string, a, b *core.TDResult[S]) {
 	}
 }
 
-// tdVariants runs RunTD under all four view/memo combinations and asserts
-// they are indistinguishable. The default (compressed+memo) is returned.
+// tdVariants runs RunTD on the default path and on the reference path and
+// asserts they are indistinguishable. The default result is returned.
 func tdVariants[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 	t *testing.T, label string, an *core.Analysis[S, R, P], init S, cfg core.Config,
 ) *core.Result[S, R, P] {
 	t.Helper()
 	base := an.RunTD(init, cfg)
-	for _, v := range []struct {
-		name      string
-		raw, nomo bool
-	}{
-		{"raw+nomemo", true, true}, {"raw", true, false}, {"nomemo", false, true},
-	} {
-		c := cfg
-		c.RawCFG = v.raw
-		c.NoTransferMemo = v.nomo
-		got := an.RunTD(init, c)
-		if !errors.Is(got.Err, base.Err) && !errors.Is(base.Err, got.Err) {
-			t.Errorf("%s/%s: err = %v, want %v", label, v.name, got.Err, base.Err)
-			continue
-		}
-		sameTD(t, label+"/"+v.name, base.TD, got.TD)
+	got := an.RunTD(init, core.Reference(cfg))
+	if !errors.Is(got.Err, base.Err) && !errors.Is(base.Err, got.Err) {
+		t.Errorf("%s/reference: err = %v, want %v", label, got.Err, base.Err)
+		return base
 	}
+	sameTD(t, label+"/reference", base.TD, got.TD)
 	return base
 }
 
@@ -80,10 +71,7 @@ func TestCompressedMatchesRawOnFixture(t *testing.T) {
 
 	// The bottom-up baseline's instantiation pass uses the same solver.
 	buBase := an.RunBU(init, core.BUConfig())
-	buCfg := core.BUConfig()
-	buCfg.RawCFG = true
-	buCfg.NoTransferMemo = true
-	buRaw := an.RunBU(init, buCfg)
+	buRaw := an.RunBU(init, core.Reference(core.BUConfig()))
 	if !buBase.Completed() || !buRaw.Completed() {
 		t.Fatalf("bu: %v / %v", buBase.Err, buRaw.Err)
 	}
@@ -95,18 +83,16 @@ func TestCompressedMatchesRawOnFixture(t *testing.T) {
 
 // TestBudgetAbortAgreesAcrossViews pins the original-graph-units contract
 // at the abort point: a path-edge budget must fire on the same insert
-// count on either view (Steps at abort legitimately differs — the raw
-// solver still owes pops for queued facts the compressed walk already
-// charged).
+// count on the compressed view and on the reference's raw view (Steps at
+// abort legitimately differs — the raw solver still owes pops for queued
+// facts the compressed walk already charged).
 func TestBudgetAbortAgreesAcrossViews(t *testing.T) {
 	an, taint := newAnalysis(t)
 	init := taint.Initial()
 	cfg := core.TDConfig()
 	cfg.MaxPathEdges = 7
 	comp := an.RunTD(init, cfg)
-	cfg.RawCFG = true
-	cfg.NoTransferMemo = true
-	raw := an.RunTD(init, cfg)
+	raw := an.RunTD(init, core.Reference(cfg))
 	if !errors.Is(comp.Err, core.ErrBudget) || !errors.Is(raw.Err, core.ErrBudget) {
 		t.Fatalf("budget did not fire: %v / %v", comp.Err, raw.Err)
 	}
@@ -118,15 +104,14 @@ func TestBudgetAbortAgreesAcrossViews(t *testing.T) {
 // TestMemoTransparentInHybrid asserts the transfer memo changes nothing
 // observable in the order-sensitive hybrid engine: every counter, the
 // trigger set and the full tabulation tables must be bit-identical with
-// the memo on and off.
+// the memo on (default) and off (the reference path).
 func TestMemoTransparentInHybrid(t *testing.T) {
 	an, taint := newAnalysis(t)
 	init := taint.Initial()
 	cfg := core.DefaultConfig()
 	cfg.K = 1
 	base := an.RunSwift(init, cfg)
-	cfg.NoTransferMemo = true
-	plain := an.RunSwift(init, cfg)
+	plain := an.RunSwift(init, core.Reference(cfg))
 	if !base.Completed() || !plain.Completed() {
 		t.Fatalf("swift: %v / %v", base.Err, plain.Err)
 	}
@@ -223,8 +208,7 @@ func TestCompressedMatchesRawRandomPrograms(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.K = 1
 		base := an.RunSwift(init, cfg)
-		cfg.NoTransferMemo = true
-		plain := an.RunSwift(init, cfg)
+		plain := an.RunSwift(init, core.Reference(cfg))
 		if base.Err != nil || plain.Err != nil {
 			t.Fatalf("%s: swift: %v / %v", label, base.Err, plain.Err)
 		}
@@ -254,9 +238,7 @@ func TestCompressedMatchesRawOnTestdata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.RawCFG = true
-	cfg.NoTransferMemo = true
-	raw, err := b.Run("td", cfg)
+	raw, err := b.Run("td", core.Reference(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +280,9 @@ func TestCompressedMatchesRawOnBenchSuite(t *testing.T) {
 			}
 			run := func(raw bool) *driver.Result {
 				cfg := core.DefaultConfig()
-				cfg.RawCFG = raw
-				cfg.NoTransferMemo = raw
+				if raw {
+					cfg = core.Reference(cfg)
+				}
 				res, err := b.Run(tc.engine, cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -20,15 +20,13 @@ type Analysis[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	// rawView and compView are the two solver-facing traversal overlays of
 	// CFG (see ir.RawView/ir.CompressedView), built lazily and shared by
 	// every run on this Analysis. Which engines may use the compressed view
-	// is a correctness question, not a tuning one — see tdView.
-	rawView  *ir.CFGView
-	compView *ir.CFGView
-
-	// rawStruct and compStruct are the loop-structure indexes of the two
-	// views, built lazily for the sparse scheduler. Pure graph structure,
-	// so — like the views — one instance is shared by every run, including
-	// concurrent sliced runs (RunSliceSet pre-builds them).
-	rawStruct  *ir.StructIndex
+	// is a correctness question, not a tuning one — see tdView. compStruct
+	// is the compressed view's loop-structure index for the sparse
+	// scheduler, built with it. Pure graph structure, so one instance is
+	// shared by every run, including concurrent sliced runs (RunSliceSet
+	// pre-builds them).
+	rawView    *ir.CFGView
+	compView   *ir.CFGView
 	compStruct *ir.StructIndex
 
 	// Warm, when non-nil, is consulted before every run_bu invocation and
@@ -58,41 +56,24 @@ func (a *Analysis[S, R, P]) raw() *ir.CFGView {
 	return a.rawView
 }
 
-// tdView returns the traversal view for the order-insensitive solvers. At
-// completion, RunTD and RunBU's instantiation pass compute closure
-// properties — fact sets, summary tables, entry multiplicities and the
-// original-graph-unit counters are independent of worklist pop order — so
-// they default to the compressed superblock view. The hybrid engines must
-// NOT use it: their trigger decisions sample EntrySeen mid-run, where pop
-// order is observable (see DESIGN.md), so they always take the raw view.
-func (a *Analysis[S, R, P]) tdView(config Config) *ir.CFGView {
-	if config.RawCFG {
-		return a.raw()
+// tdView returns the traversal view for the order-insensitive solvers and
+// its structure index. At completion, RunTD and RunBU's instantiation pass
+// compute closure properties — fact sets, summary tables, entry
+// multiplicities and the original-graph-unit counters are independent of
+// worklist pop order — so they run the sparse scheduler over the
+// compressed superblock view. The hybrid engines must NOT use either:
+// their trigger decisions sample EntrySeen mid-run, where pop order is
+// observable (see DESIGN.md), so they always take the raw view and the
+// dense FIFO. The test-only reference path gets the same (nil index).
+func (a *Analysis[S, R, P]) tdView(config Config) (*ir.CFGView, *ir.StructIndex) {
+	if config.solver == pathReference {
+		return a.raw(), nil
 	}
 	if a.compView == nil {
 		a.compView = ir.CompressedView(a.CFG)
+		a.compStruct = ir.BuildStructIndex(a.compView)
 	}
-	return a.compView
-}
-
-// sparseIndex returns the structure index matching tdView(config), or nil
-// when the sparse scheduler is disabled (Config.NoSparse). Only the
-// order-insensitive solvers call it; the hybrids always pass newTDSolver a
-// nil index (see RunSwift).
-func (a *Analysis[S, R, P]) sparseIndex(config Config) *ir.StructIndex {
-	if config.NoSparse {
-		return nil
-	}
-	if config.RawCFG {
-		if a.rawStruct == nil {
-			a.rawStruct = ir.BuildStructIndex(a.raw())
-		}
-		return a.rawStruct
-	}
-	if a.compStruct == nil {
-		a.compStruct = ir.BuildStructIndex(a.tdView(config))
-	}
-	return a.compStruct
+	return a.compView, a.compStruct
 }
 
 // Result is the outcome of one engine run.
@@ -189,7 +170,8 @@ func (r *Result[S, R, P]) ExitStates(entry string, initial S) []S {
 func (a *Analysis[S, R, P]) RunTD(initial S, config Config) *Result[S, R, P] {
 	start := time.Now()
 	client := effectiveClient(a.Client, config)
-	t := newTDSolver(client, a.tdView(config), config, nil, a.sparseIndex(config))
+	view, sidx := a.tdView(config)
+	t := newTDSolver(client, view, config, nil, sidx)
 	res := &Result[S, R, P]{Engine: "td", TD: t.res}
 	err := func() (err error) {
 		defer contain(&err)
@@ -233,7 +215,8 @@ func (a *Analysis[S, R, P]) RunBU(initial S, config Config) *Result[S, R, P] {
 		}
 		res.BU = eta
 		inst := &buInstantiator[S, R, P]{client: client, eta: eta, res: res}
-		t := newTDSolver(client, a.tdView(config), config, inst, a.sparseIndex(config))
+		view, sidx := a.tdView(config)
+		t := newTDSolver(client, view, config, inst, sidx)
 		res.TD = t.res
 		if err := t.seed(initial); err != nil {
 			return err

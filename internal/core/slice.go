@@ -190,8 +190,7 @@ func (a *Analysis[S, R, P]) RunEngine(engine string, initial S, config Config) (
 func (a *Analysis[S, R, P]) withClient(client Client[S, R, P]) *Analysis[S, R, P] {
 	return &Analysis[S, R, P]{
 		Client: client, Prog: a.Prog, CFG: a.CFG,
-		rawView: a.rawView, compView: a.compView,
-		rawStruct: a.rawStruct, compStruct: a.compStruct,
+		rawView: a.rawView, compView: a.compView, compStruct: a.compStruct,
 	}
 }
 
@@ -229,7 +228,6 @@ func (a *Analysis[S, R, P]) RunSliceSet(engine string, config Config, subset []S
 	switch engine {
 	case "td", "bu":
 		a.tdView(config)
-		a.sparseIndex(config)
 	case "swift", "swift-async":
 		a.raw()
 	default:

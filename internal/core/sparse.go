@@ -87,9 +87,6 @@ const maxRegionClosureFacts = 1 << 20
 // sparseState is the scheduler state of one sparse run.
 type sparseState[S cmp.Ordered] struct {
 	idx *ir.StructIndex
-	// useRegions gates the region-memo path: compressed view only (the
-	// closure needs canonical chain sets) and not under NoStructIndex.
-	useRegions bool
 	// key packs each node's heap priority and identity:
 	// (maxDepth-depth) << 44 | rpo << 22 | nodeID, popped min-first.
 	key []int64
@@ -125,24 +122,24 @@ type regionImage[S cmp.Ordered] struct {
 	sets  []sortedSet[S]
 }
 
-// newSparseState builds scheduler state for one run, or returns nil when
-// the program exceeds the key packing limits (the run then stays dense;
-// the limits are program properties, so the choice is deterministic).
+// newSparseState builds scheduler state for one run over the compressed
+// view's index, or returns nil when the program exceeds the key packing
+// limits (the run then stays dense; the limits are program properties, so
+// the choice is deterministic). The dense test path forces this fallback.
 func newSparseState[S cmp.Ordered](idx *ir.StructIndex, config Config, stats *SparseStats) *sparseState[S] {
 	n := idx.View.CFG.NodeCount
-	if n >= 1<<sparseNodeBits || idx.MaxDepth >= 1<<15 {
+	if config.solver == pathDense || n >= 1<<sparseNodeBits || idx.MaxDepth >= 1<<15 {
 		return nil
 	}
 	sp := &sparseState[S]{
-		idx:        idx,
-		useRegions: idx.View.Compressed && !config.NoStructIndex,
-		key:        make([]int64, n),
-		pend:       make([][]pathPair[S], n),
-		gen:        make([]uint32, n),
-		done:       make([]uint32, n),
-		inq:        make([]bool, n),
-		rmeta:      make([]*regionMeta[S], len(idx.Regions)),
-		stats:      stats,
+		idx:   idx,
+		key:   make([]int64, n),
+		pend:  make([][]pathPair[S], n),
+		gen:   make([]uint32, n),
+		done:  make([]uint32, n),
+		inq:   make([]bool, n),
+		rmeta: make([]*regionMeta[S], len(idx.Regions)),
+		stats: stats,
 	}
 	maxd := int64(idx.MaxDepth)
 	for i := 0; i < n; i++ {
@@ -152,17 +149,12 @@ func newSparseState[S cmp.Ordered](idx *ir.StructIndex, config Config, stats *Sp
 			continue
 		}
 		d := int64(idx.Depth[i])
-		if config.NoStructIndex {
-			d = maxd // uniform: plain RPO order, no region priority
-		}
 		sp.key[i] = (maxd-d)<<44 | rpo<<sparseNodeBits | int64(i)
 	}
 	stats.Enabled = true
 	stats.Regions = len(idx.Regions)
 	stats.MaxDepth = idx.MaxDepth
-	if sp.useRegions {
-		stats.MemoRegions = idx.MemoizableRegions
-	}
+	stats.MemoRegions = idx.MemoizableRegions
 	return sp
 }
 
@@ -293,10 +285,8 @@ func (t *tdSolver[S, R, P]) stepSparseBatch(node int, pend []pathPair[S]) error 
 	pc := t.cfgOf[n.Proc]
 	isExit := n.ID == pc.Exit.ID
 	var rm *regionMeta[S]
-	if t.sp.useRegions {
-		if rid := t.sp.idx.MemoHeader[node]; rid >= 0 {
-			rm = t.sp.regionMeta(int(rid))
-		}
+	if rid := t.sp.idx.MemoHeader[node]; rid >= 0 {
+		rm = t.sp.regionMeta(int(rid))
 	}
 	for i := range pend {
 		p := pend[i]

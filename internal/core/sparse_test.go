@@ -3,12 +3,12 @@ package core_test
 // Equivalence tests for the structure-driven sparse scheduler: on every
 // program we can get our hands on — the killgen fixture, randomized
 // killgen programs, the paper-mirror benchmarks and the deep-nest
-// structure stress — the sparse priority worklist (with and without the
-// loop-structure index and region memoization) must produce result tables
-// and counters byte-identical to the dense FIFO baseline, under every
-// engine and at every slice-worker count. The sparse path is purely a
-// scheduling optimization; these tests are the contract that makes the
-// -nosparse/-nostruct ablation knobs meaningful A/B switches.
+// structure stress — the sparse priority worklist with its loop-structure
+// index and region memoization must produce result tables and counters
+// byte-identical to the dense FIFO (the packing-limit fallback on the
+// compressed view, and the raw-view reference), under every engine and at
+// every slice-worker count. The sparse path is purely a scheduling
+// optimization; these tests are its contract.
 
 import (
 	"bytes"
@@ -22,48 +22,37 @@ import (
 	"swift/internal/driver"
 )
 
-// sparseConfigs are the scheduler/view combinations that must all be
-// observationally identical. The zero config is the default: sparse
-// scheduler over the compressed view with region memoization.
+// sparseConfigs are the solver paths that must all be observationally
+// identical. The first is the default: sparse scheduler over the
+// compressed view with region memoization; only it runs sparse.
 var sparseConfigs = []struct {
-	name            string
-	noSparse, noIdx bool
-	rawCFG          bool
+	name  string
+	apply func(core.Config) core.Config
 }{
-	{"sparse+compressed", false, false, false},
-	{"dense", true, false, false},
-	{"nostruct", false, true, false},
-	{"sparse+raw", false, false, true},
-	{"dense+raw", true, false, true},
+	{"default", func(c core.Config) core.Config { return c }},
+	{"dense", core.DenseFallback},
+	{"reference", core.Reference},
 }
 
-func applySparse(cfg core.Config, noSparse, noIdx, raw bool) core.Config {
-	cfg.NoSparse = noSparse
-	cfg.NoStructIndex = noIdx
-	cfg.RawCFG = raw
-	return cfg
-}
-
-// sparseVariants runs RunTD under every scheduler/view combination and
-// asserts the tables and counters are indistinguishable, plus that the
-// sparse stats honestly report whether the scheduler engaged. The default
-// (sparse) result is returned.
+// sparseVariants runs RunTD on every solver path and asserts the tables
+// and counters are indistinguishable, plus that the sparse stats honestly
+// report whether the scheduler engaged. The default (sparse) result is
+// returned.
 func sparseVariants(t *testing.T, label string, an *core.Analysis[string, string, string], init string, cfg core.Config) *core.Result[string, string, string] {
 	t.Helper()
-	base := an.RunTD(init, applySparse(cfg, false, false, false))
+	base := an.RunTD(init, cfg)
 	if !base.TD.Sparse.Enabled {
 		t.Errorf("%s: sparse scheduler did not engage on the default config", label)
 	}
 	for _, v := range sparseConfigs[1:] {
-		got := an.RunTD(init, applySparse(cfg, v.noSparse, v.noIdx, v.rawCFG))
+		got := an.RunTD(init, v.apply(cfg))
 		if !errors.Is(got.Err, base.Err) && !errors.Is(base.Err, got.Err) {
 			t.Errorf("%s/%s: err = %v, want %v", label, v.name, got.Err, base.Err)
 			continue
 		}
 		sameTD(t, label+"/"+v.name, base.TD, got.TD)
-		if got.TD.Sparse.Enabled == v.noSparse {
-			t.Errorf("%s/%s: Sparse.Enabled = %v under noSparse=%v",
-				label, v.name, got.TD.Sparse.Enabled, v.noSparse)
+		if got.TD.Sparse.Enabled {
+			t.Errorf("%s/%s: reported a sparse run", label, v.name)
 		}
 	}
 	return base
@@ -81,7 +70,7 @@ func TestSparseMatchesDenseOnFixture(t *testing.T) {
 	// it must be equally indifferent to the scheduler.
 	buBase := an.RunBU(init, core.BUConfig())
 	for _, v := range sparseConfigs[1:] {
-		got := an.RunBU(init, applySparse(core.BUConfig(), v.noSparse, v.noIdx, v.rawCFG))
+		got := an.RunBU(init, v.apply(core.BUConfig()))
 		if !buBase.Completed() || !got.Completed() {
 			t.Fatalf("bu/%s: %v / %v", v.name, buBase.Err, got.Err)
 		}
@@ -93,10 +82,10 @@ func TestSparseMatchesDenseOnFixture(t *testing.T) {
 }
 
 // TestSparseMatchesDenseRandomPrograms fuzzes the equivalence over seeded
-// random programs: every scheduler/view combination of the top-down
-// solver, the bottom-up instantiation pass, and the hybrid (which must be
-// bit-identical because it always pins the dense FIFO — the knobs are
-// no-ops there, not perturbations).
+// random programs: every solver path of the top-down solver, the
+// bottom-up instantiation pass, and the hybrid (which always pins the
+// dense FIFO, so it must never report a sparse run and must match the
+// reference bit for bit).
 func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 12; trial++ {
@@ -110,7 +99,7 @@ func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 		sparseVariants(t, label, an, init, core.TDConfig())
 
 		buBase := an.RunBU(init, core.BUConfig())
-		buDense := an.RunBU(init, applySparse(core.BUConfig(), true, false, false))
+		buDense := an.RunBU(init, core.DenseFallback(core.BUConfig()))
 		if buBase.Err != nil || buDense.Err != nil {
 			t.Fatalf("%s: bu: %v / %v", label, buBase.Err, buDense.Err)
 		}
@@ -122,16 +111,16 @@ func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.K = 1
 		swBase := an.RunSwift(init, cfg)
-		swKnob := an.RunSwift(init, applySparse(cfg, true, true, false))
-		if swBase.Err != nil || swKnob.Err != nil {
-			t.Fatalf("%s: swift: %v / %v", label, swBase.Err, swKnob.Err)
+		swRef := an.RunSwift(init, core.Reference(cfg))
+		if swBase.Err != nil || swRef.Err != nil {
+			t.Fatalf("%s: swift: %v / %v", label, swBase.Err, swRef.Err)
 		}
-		sameTD(t, label+"/swift", swBase.TD, swKnob.TD)
-		if swBase.TD.Sparse.Enabled || swKnob.TD.Sparse.Enabled {
+		sameTD(t, label+"/swift", swBase.TD, swRef.TD)
+		if swBase.TD.Sparse.Enabled || swRef.TD.Sparse.Enabled {
 			t.Errorf("%s: hybrid reported a sparse run; it must stay dense", label)
 		}
-		if swBase.BUStats != swKnob.BUStats {
-			t.Errorf("%s: swift stats differ with knobs set", label)
+		if swBase.BUStats != swRef.BUStats {
+			t.Errorf("%s: swift stats differ from the reference", label)
 		}
 	}
 }
@@ -139,8 +128,8 @@ func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 // TestSparseMatchesDenseOnBenchSuite drives the full pipeline on every
 // paper-mirror benchmark plus the deep-nest structure stress: the encoded
 // result tables — every path edge, summary, entry multiset, error text and
-// counter — must be byte-identical between the dense and sparse runs of
-// one shared build. Runs that exhaust the (deliberately modest) path-edge
+// counter — must be byte-identical between the dense-fallback and sparse
+// runs of one shared build. Runs that exhaust the (deliberately modest) path-edge
 // budget must abort on the identical insert count, per the
 // original-graph-units contract.
 func TestSparseMatchesDenseOnBenchSuite(t *testing.T) {
@@ -168,50 +157,41 @@ func TestSparseMatchesDenseOnBenchSuite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := func(noSparse, noIdx bool) *driver.Result {
-					cfg := core.DefaultConfig()
+				run := func(cfg core.Config) *driver.Result {
 					// The quick-budget caps: the largest stand-ins are built
 					// to exhaust the TD path-edge budget, and the unpruned
 					// bottom-up phase needs a relation budget to terminate at
 					// all on the alias-tangled ones.
 					cfg.MaxPathEdges = 300_000
 					cfg.MaxRelations = 60_000
-					cfg.NoSparse = noSparse
-					cfg.NoStructIndex = noIdx
 					res, err := b.Run(engine, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return res
 				}
-				dense := run(true, false)
-				sparse := run(false, false)
-				nostruct := run(false, true)
-				for _, v := range []struct {
-					name string
-					res  *driver.Result
-				}{{"sparse", sparse}, {"nostruct", nostruct}} {
-					if (dense.Err == nil) != (v.res.Err == nil) ||
-						(dense.Err != nil && !errors.Is(v.res.Err, core.ErrBudget)) {
-						t.Fatalf("%s: err = %v, dense err = %v", v.name, v.res.Err, dense.Err)
+				dense := run(core.DenseFallback(core.DefaultConfig()))
+				sparse := run(core.DefaultConfig())
+				if (dense.Err == nil) != (sparse.Err == nil) ||
+					(dense.Err != nil && !errors.Is(sparse.Err, core.ErrBudget)) {
+					t.Fatalf("err = %v, dense err = %v", sparse.Err, dense.Err)
+				}
+				if dense.Err != nil {
+					// Budget abort: only the insert count is pinned across
+					// schedulers (see TestBudgetAbortAgreesAcrossViews). A bu
+					// run aborted before instantiation has no TD table at
+					// all — then both sides must lack one.
+					if (dense.TD == nil) != (sparse.TD == nil) {
+						t.Errorf("TD table presence differs at abort")
+					} else if dense.TD != nil && dense.TD.NumPathEdges != sparse.TD.NumPathEdges {
+						t.Errorf("path edges at abort: %d vs %d",
+							sparse.TD.NumPathEdges, dense.TD.NumPathEdges)
 					}
-					if dense.Err != nil {
-						// Budget abort: only the insert count is pinned across
-						// schedulers (see TestBudgetAbortAgreesAcrossViews). A
-						// bu run aborted before instantiation has no TD table
-						// at all — then both sides must lack one.
-						if (dense.TD == nil) != (v.res.TD == nil) {
-							t.Errorf("%s: TD table presence differs at abort", v.name)
-						} else if dense.TD != nil && dense.TD.NumPathEdges != v.res.TD.NumPathEdges {
-							t.Errorf("%s: path edges at abort: %d vs %d",
-								v.name, v.res.TD.NumPathEdges, dense.TD.NumPathEdges)
-						}
-						continue
-					}
-					if !bytes.Equal(driver.EncodeResultTables(b, dense), driver.EncodeResultTables(b, v.res)) {
-						sameTD(t, v.name, dense.TD, v.res.TD) // pinpoint the field
-						t.Errorf("%s: encoded result tables differ from dense", v.name)
-					}
+					return
+				}
+				if !bytes.Equal(driver.EncodeResultTables(b, dense), driver.EncodeResultTables(b, sparse)) {
+					sameTD(t, "sparse", dense.TD, sparse.TD) // pinpoint the field
+					t.Errorf("encoded result tables differ from dense")
 				}
 			})
 		}
@@ -265,44 +245,54 @@ func TestSparseStatsSanity(t *testing.T) {
 	}
 }
 
-// TestSparseKnobsInertInAsyncReplay covers the fourth engine: the
-// asynchronous hybrid always pins the dense FIFO over the raw view, so a
-// recorded schedule must replay bit-identically regardless of the sparse
-// knobs' settings.
-func TestSparseKnobsInertInAsyncReplay(t *testing.T) {
-	trace, recorded := recordRun(t, drainProgram)
-	for _, v := range []struct {
-		name            string
-		noSparse, noIdx bool
-	}{{"default", false, false}, {"nosparse", true, false}, {"nostruct", false, true}} {
-		kg := drainClient()
-		an, err := core.NewAnalysis[string, string, string](kg, drainProgram())
-		if err != nil {
-			t.Fatal(err)
-		}
-		init := kg.State(kg.MakeBits())
-		cfg := core.DefaultConfig()
-		cfg.K = 1
-		cfg.ReplayTrace = trace
-		cfg.NoSparse = v.noSparse
-		cfg.NoStructIndex = v.noIdx
-		res := an.RunSwiftAsync(init, cfg)
-		if res.Err != nil {
-			t.Fatalf("%s: replay failed: %v", v.name, res.Err)
-		}
-		if res.TD.Sparse.Enabled {
-			t.Errorf("%s: async hybrid reported a sparse run; it must stay dense", v.name)
-		}
-		if got := fingerprintResult(res, "main", init); got != recorded {
-			t.Errorf("%s: replay diverges from record\n--- record ---\n%s--- replay ---\n%s",
-				v.name, recorded, got)
-		}
+// TestDenseFallbackMatchesSparse drives newSparseState's packing-limit
+// fallback — the only production path on which td runs dense over the
+// compressed view — and pins it to the sparse run of the same build: the
+// scheduler must report itself off, the encoded tables and counters must
+// be byte-identical, and a path-edge budget must abort both on the same
+// insert count.
+func TestDenseFallbackMatchesSparse(t *testing.T) {
+	for _, name := range []string{"elevator", "deep-nest"} {
+		t.Run(name, func(t *testing.T) {
+			b := tabulationBuild(t, name)
+			run := func(cfg core.Config) *driver.Result {
+				res, err := b.Run("td", cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			sparse := run(core.TDConfig())
+			dense := run(core.DenseFallback(core.TDConfig()))
+			if sparse.Err != nil || dense.Err != nil {
+				t.Fatalf("td: %v / %v", sparse.Err, dense.Err)
+			}
+			if !sparse.TD.Sparse.Enabled || dense.TD.Sparse.Enabled {
+				t.Fatalf("Sparse.Enabled: default %v, fallback %v; want true, false",
+					sparse.TD.Sparse.Enabled, dense.TD.Sparse.Enabled)
+			}
+			sameTD(t, name, sparse.TD, dense.TD)
+			if !bytes.Equal(driver.EncodeResultTables(b, sparse), driver.EncodeResultTables(b, dense)) {
+				t.Errorf("encoded result tables differ")
+			}
+
+			cfg := core.TDConfig()
+			cfg.MaxPathEdges = sparse.TD.NumPathEdges / 2
+			sparse, dense = run(cfg), run(core.DenseFallback(cfg))
+			if !errors.Is(sparse.Err, core.ErrBudget) || !errors.Is(dense.Err, core.ErrBudget) {
+				t.Fatalf("budget did not fire: %v / %v", sparse.Err, dense.Err)
+			}
+			if sparse.TD.NumPathEdges != dense.TD.NumPathEdges {
+				t.Errorf("path edges at abort: %d vs %d", sparse.TD.NumPathEdges, dense.TD.NumPathEdges)
+			}
+		})
 	}
 }
 
 // TestSparseMatchesDenseSliced closes the loop at the driver's sliced
-// layer. Per-slice clients intern fresh, so same-scheduler runs produce
-// identical per-slice tables at every worker count; across schedulers the
+// layer, against the dense fallback. Per-slice clients intern fresh, so
+// same-scheduler runs produce identical per-slice tables at every worker
+// count; across schedulers the
 // traversal order — and with it the AbsID numbering — differs, so the
 // comparison drops to the ID-independent quantities: every per-slice
 // counter, the aggregate work, and the merged error report.
@@ -319,31 +309,33 @@ func TestSparseMatchesDenseSliced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runSliced := func(workers int, noSparse bool) (*driver.SlicedResult, []string) {
+	runSliced := func(workers int, dense bool) (*driver.SlicedResult, []string) {
 		cfg := core.DefaultConfig()
 		cfg.SliceWorkers = workers
-		cfg.NoSparse = noSparse
+		if dense {
+			cfg = core.DenseFallback(cfg)
+		}
 		res, err := b.RunSliced("td", cfg)
 		if err != nil {
-			t.Fatalf("workers=%d nosparse=%v: %v", workers, noSparse, err)
+			t.Fatalf("workers=%d dense=%v: %v", workers, dense, err)
 		}
 		if e := res.Err(); e != nil {
-			t.Fatalf("workers=%d nosparse=%v: %v", workers, noSparse, e)
+			t.Fatalf("workers=%d dense=%v: %v", workers, dense, e)
 		}
 		report, err := b.SlicedErrorReport(res)
 		if err != nil {
-			t.Fatalf("workers=%d nosparse=%v: %v", workers, noSparse, err)
+			t.Fatalf("workers=%d dense=%v: %v", workers, dense, err)
 		}
 		return res, report
 	}
 	base, baseReport := runSliced(1, false)
 	for _, workers := range []int{1, 2, 8} {
-		for _, noSparse := range []bool{false, true} {
-			if workers == 1 && !noSparse {
+		for _, dense := range []bool{false, true} {
+			if workers == 1 && !dense {
 				continue // the baseline itself
 			}
-			label := fmt.Sprintf("workers=%d/nosparse=%v", workers, noSparse)
-			got, report := runSliced(workers, noSparse)
+			label := fmt.Sprintf("workers=%d/dense=%v", workers, dense)
+			got, report := runSliced(workers, dense)
 			if len(got.Slices) != len(base.Slices) {
 				t.Fatalf("%s: %d slices, want %d", label, len(got.Slices), len(base.Slices))
 			}
@@ -353,7 +345,7 @@ func TestSparseMatchesDenseSliced(t *testing.T) {
 				}
 				slabel := label + "/" + string(base.Slices[i].ID)
 				bt, gt := base.Slices[i].Result.TD, got.Slices[i].Result.TD
-				if noSparse {
+				if dense {
 					if bt.NumPathEdges != gt.NumPathEdges || bt.NumSummaries != gt.NumSummaries || bt.Steps != gt.Steps {
 						t.Errorf("%s: counters differ: (%d,%d,%d) vs (%d,%d,%d)", slabel,
 							bt.NumPathEdges, bt.NumSummaries, bt.Steps,

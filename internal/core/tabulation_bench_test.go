@@ -5,18 +5,17 @@ package core_test
 //   - BenchmarkTabulationCompressed — the shipped solver: superblock view,
 //     chain transfer memo, per-node map[in]sortedSet path-edge table,
 //     structure-driven sparse scheduler (DESIGN.md §13).
-//   - BenchmarkTabulationDense — A/B control: the shipped solver with the
-//     sparse scheduler off (Config.NoSparse), i.e. the dense FIFO that was
-//     the shipped configuration before the structure layer.
-//   - BenchmarkTabulationNoStruct — A/B control: sparse scheduler without
-//     the loop-structure index (Config.NoStructIndex): plain RPO batching,
-//     no region memoization.
+//   - BenchmarkTabulationDense — control: the shipped solver on the
+//     sparse scheduler's packing-limit fallback (core.DenseFallback), i.e.
+//     the dense FIFO that was the shipped configuration before the
+//     structure layer.
 //   - BenchmarkTabulationRaw — the pre-optimization solver preserved in
 //     legacy_bench_test.go: one edge per traversal, map[pathPair]bool
 //     table, no memo. This is the "before" the ratio is measured against.
-//   - BenchmarkTabulationRawView — A/B control: the shipped solver on the
-//     raw view with the memo off, isolating how much of the win comes from
-//     compression+memo versus the path-edge table rework.
+//   - BenchmarkTabulationRawView — control: the reference path
+//     (core.Reference: raw view, dense FIFO, no memo), isolating how much
+//     of the win comes from compression, memo and scheduler versus the
+//     path-edge table rework.
 //
 // Run with:
 //
@@ -56,11 +55,11 @@ func tabulationBuild(tb testing.TB, name string) *driver.Build {
 	return bl
 }
 
-func BenchmarkTabulationCompressed(b *testing.B) {
+// tabulationTD benchmarks td under cfg on every tabulation profile.
+func tabulationTD(b *testing.B, cfg core.Config) {
 	for _, name := range tabulationProfiles {
 		b.Run(name, func(b *testing.B) {
 			bl := tabulationBuild(b, name)
-			cfg := core.TDConfig()
 			// Warm once: interning and view construction happen on the first
 			// run; the loop then measures the steady-state solve.
 			if res, err := bl.Run("td", cfg); err != nil || res.Err != nil {
@@ -78,32 +77,9 @@ func BenchmarkTabulationCompressed(b *testing.B) {
 	}
 }
 
-// tabulationKnob benchmarks the shipped solver with one scheduler knob
-// set — the -nosparse/-nostruct ablation controls.
-func tabulationKnob(b *testing.B, noSparse, noIdx bool) {
-	for _, name := range tabulationProfiles {
-		b.Run(name, func(b *testing.B) {
-			bl := tabulationBuild(b, name)
-			cfg := core.TDConfig()
-			cfg.NoSparse = noSparse
-			cfg.NoStructIndex = noIdx
-			if res, err := bl.Run("td", cfg); err != nil || res.Err != nil {
-				b.Fatalf("warmup: %v / %v", err, res.Err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := bl.Run("td", cfg)
-				if err != nil || res.Err != nil {
-					b.Fatalf("%v / %v", err, res.Err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkTabulationDense(b *testing.B)    { tabulationKnob(b, true, false) }
-func BenchmarkTabulationNoStruct(b *testing.B) { tabulationKnob(b, false, true) }
+func BenchmarkTabulationCompressed(b *testing.B) { tabulationTD(b, core.TDConfig()) }
+func BenchmarkTabulationDense(b *testing.B)      { tabulationTD(b, core.DenseFallback(core.TDConfig())) }
+func BenchmarkTabulationRawView(b *testing.B)    { tabulationTD(b, core.Reference(core.TDConfig())) }
 
 func BenchmarkTabulationRaw(b *testing.B) {
 	for _, name := range tabulationProfiles {
@@ -119,28 +95,6 @@ func BenchmarkTabulationRaw(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.LegacyRunTD(bl.Core.Client, bl.Core.CFG, cfg, init); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkTabulationRawView(b *testing.B) {
-	for _, name := range tabulationProfiles {
-		b.Run(name, func(b *testing.B) {
-			bl := tabulationBuild(b, name)
-			cfg := core.TDConfig()
-			cfg.RawCFG = true
-			cfg.NoTransferMemo = true
-			if res, err := bl.Run("td", cfg); err != nil || res.Err != nil {
-				b.Fatalf("warmup: %v / %v", err, res.Err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := bl.Run("td", cfg)
-				if err != nil || res.Err != nil {
-					b.Fatalf("%v / %v", err, res.Err)
 				}
 			}
 		})

@@ -199,9 +199,6 @@ type tdSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	// deterministic function of (prim, state): repeated calls return the
 	// same slice contents, so skipping them is unobservable.
 	memo []*seMemo[S]
-	// scratch backs chain walks when NoTransferMemo disables caching; it is
-	// reset before every walk.
-	scratch seMemo[S]
 	// addbuf is the scratch buffer insertFactSet hands to mergeAppend; it
 	// holds the newly added states of the latest batch only. frontA/frontB
 	// are the chain walk's frontier double-buffer.
@@ -233,8 +230,8 @@ type workItem[S cmp.Ordered] struct {
 const maxRetainedWork = 1 << 14
 
 // newTDSolver builds a solver over the view. sidx, when non-nil, selects
-// the sparse scheduler (see sparse.go); it must be a structure index of the
-// same view. Callers whose result order is observable mid-run (the hybrid
+// the sparse scheduler (see sparse.go); it must be the structure index of
+// the compressed view (see tdView). Callers whose result order is observable mid-run (the hybrid
 // engines) must pass nil.
 func newTDSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 	client Client[S, R, P], view *ir.CFGView, config Config, hook interceptor[S],
@@ -468,8 +465,9 @@ func (t *tdSolver[S, R, P]) step(item workItem[S]) error {
 func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
 	if !t.view.Compressed {
 		// Per-element, in raw Trans order: the hybrid engines replay memo
-		// hits bit-for-bit through this path (see seMemo).
-		if t.config.NoTransferMemo {
+		// hits bit-for-bit through this path (see seMemo). The reference
+		// path calls the client afresh instead.
+		if t.config.solver == pathReference {
 			for _, s := range t.client.Trans(se.Prims[0], out) {
 				if err := t.propagate(se.To.ID, in, s); err != nil {
 					return err
@@ -512,11 +510,6 @@ func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
 // superedge's primitive sequence, and the entry index of s0 within it,
 // computing and caching the image on a miss.
 func (t *tdSolver[S, R, P]) chainEntry(se *ir.SuperEdge, s0 S) (*seMemo[S], int32) {
-	if t.config.NoTransferMemo {
-		m := &t.scratch
-		m.starts, m.lens, m.states = m.starts[:0], m.lens[:0], m.states[:0]
-		return m, t.computeChain(se, s0, m)
-	}
 	m := t.memo[se.ID]
 	if m == nil {
 		m = &seMemo[S]{idx: make(map[S]int32, 8)}

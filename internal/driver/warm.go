@@ -95,14 +95,10 @@ func normalizeConfig(engine string, cfg core.Config) core.Config {
 // keyTemplate fills the key fields shared by every artifact of one run.
 func keyTemplate(b *Build, engine string, cfg core.Config) store.Key {
 	return store.Key{
-		Frozen:         b.TS.FrozenDigest(),
-		Engine:         engine,
-		K:              cfg.K,
-		Theta:          cfg.Theta,
-		RawCFG:         cfg.RawCFG,
-		NoTransferMemo: cfg.NoTransferMemo,
-		NoSparse:       cfg.NoSparse,
-		NoStructIndex:  cfg.NoStructIndex,
+		Frozen: b.TS.FrozenDigest(),
+		Engine: engine,
+		K:      cfg.K,
+		Theta:  cfg.Theta,
 	}
 }
 

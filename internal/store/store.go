@@ -28,9 +28,8 @@ import (
 // Key identifies one cached artifact. Every field that can change the
 // artifact's bytes must be part of it: the engines' outputs depend on the
 // procedure bodies analyzed (Body: a closure hash), the client's frozen
-// construction (Frozen: property layout and may-alias oracle digest), the
-// engine and its thresholds, and the ablation knobs (they do not change
-// result tables, but keys stay distinct so stats remain attributable).
+// construction (Frozen: property layout and may-alias oracle digest), and
+// the engine and its thresholds.
 type Key struct {
 	// Kind separates artifact namespaces: "summary" (one trigger outcome),
 	// "tables" (intern-table snapshot + TD tables of a full run), "result"
@@ -48,15 +47,6 @@ type Key struct {
 	Engine string
 	K      int
 	Theta  int
-	// RawCFG, NoTransferMemo, NoSparse and NoStructIndex are the ablation
-	// knobs. They never change result tables, but keyed runs must not
-	// alias: a cached response reports the run's own telemetry, and an
-	// ablation request served from another knob setting's entry would
-	// silently skip the ablation.
-	RawCFG         bool
-	NoTransferMemo bool
-	NoSparse       bool
-	NoStructIndex  bool
 }
 
 // ID returns the content address of the key: a hex SHA-256 over an
@@ -66,7 +56,7 @@ func (k Key) ID() string {
 	for _, s := range []string{k.Kind, k.Proc, k.Body, k.Frozen, k.Engine} {
 		fmt.Fprintf(h, "%d:%s;", len(s), s)
 	}
-	fmt.Fprintf(h, "%d;%d;%t;%t;%t;%t", k.K, k.Theta, k.RawCFG, k.NoTransferMemo, k.NoSparse, k.NoStructIndex)
+	fmt.Fprintf(h, "%d;%d", k.K, k.Theta)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -30,8 +30,6 @@ func TestKeyIDDistinct(t *testing.T) {
 	add(func(v *Key) { v.Engine = "td" })
 	add(func(v *Key) { v.K = 6 })
 	add(func(v *Key) { v.Theta = 2 })
-	add(func(v *Key) { v.RawCFG = true })
-	add(func(v *Key) { v.NoTransferMemo = true })
 	// Concatenation ambiguity: ("ab","c") vs ("a","bc").
 	add(func(v *Key) { v.Kind, v.Proc = "summaryp", "" })
 	seen := map[string]int{}

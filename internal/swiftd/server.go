@@ -147,18 +147,10 @@ type Server struct {
 // analyzeRequest is the POST /analyze body. Absent k/theta default to
 // core.DefaultConfig's thresholds; engine defaults to "swift".
 type analyzeRequest struct {
-	Source         string `json:"source"`
-	Engine         string `json:"engine"`
-	K              *int   `json:"k"`
-	Theta          *int   `json:"theta"`
-	RawCFG         bool   `json:"rawCFG"`
-	NoTransferMemo bool   `json:"noTransferMemo"`
-	// NoSparse pins the order-insensitive solvers to the dense FIFO
-	// worklist; NoStructIndex keeps the sparse scheduler but ignores loop
-	// structure. Both are A/B knobs: result tables are identical either
-	// way (the hybrids always run dense).
-	NoSparse      bool `json:"noSparse"`
-	NoStructIndex bool `json:"noStructIndex"`
+	Source string `json:"source"`
+	Engine string `json:"engine"`
+	K      *int   `json:"k"`
+	Theta  *int   `json:"theta"`
 }
 
 // analyzeResponse is the POST /analyze reply.
@@ -512,10 +504,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if req.Theta != nil {
 		cfg.Theta = *req.Theta
 	}
-	cfg.RawCFG = req.RawCFG
-	cfg.NoTransferMemo = req.NoTransferMemo
-	cfg.NoSparse = req.NoSparse
-	cfg.NoStructIndex = req.NoStructIndex
 
 	// The build (parse → points-to → lower → client construction) always
 	// runs: the cache keys are content digests of the built pipeline.

@@ -179,10 +179,7 @@ func TestAnalyzeRejectsBadRequests(t *testing.T) {
 }
 
 // TestStructureTelemetry: a td run engages the sparse scheduler and its
-// counters land in the /stats structure block; a hybrid run stays dense,
-// as does a td run with the noSparse knob set (which must also occupy its
-// own result-cache entry rather than aliasing the sparse run's — the
-// tables are identical, but the knobs are part of the config key).
+// counters land in the /stats structure block; a hybrid run stays dense.
 func TestStructureTelemetry(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -202,22 +199,52 @@ func TestStructureTelemetry(t *testing.T) {
 		t.Errorf("structure reports %d region fallbacks", st.RegionFallbacks)
 	}
 
+	if td.TablesDigest == "" {
+		t.Error("td response has no tables digest")
+	}
 	if _, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: "swift"}); code != http.StatusOK {
 		t.Fatalf("swift status = %d", code)
 	}
-	dense, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: "td", NoSparse: true})
-	if code != http.StatusOK {
-		t.Fatalf("td noSparse status = %d", code)
-	}
-	if dense.Cached {
-		t.Fatal("td noSparse aliased the sparse run's cache entry")
-	}
-	if dense.TablesDigest != td.TablesDigest {
-		t.Fatalf("noSparse tables digest %s != sparse %s", dense.TablesDigest, td.TablesDigest)
-	}
 	st = getStats(t, ts.URL).Structure
-	if st.SparseRuns != 1 || st.DenseRuns != 2 {
-		t.Errorf("structure after swift + dense td = %+v, want 1 sparse / 2 dense", st)
+	if st.SparseRuns != 1 || st.DenseRuns != 1 {
+		t.Errorf("structure after td + swift = %+v, want 1 sparse / 1 dense", st)
+	}
+}
+
+// TestLegacyKnobFieldsShareDefaultEntry: request bodies from clients that
+// still send the removed view/scheduler fields decode as the default
+// request, so they are served from the default run's cache entry instead
+// of running the engine again.
+func TestLegacyKnobFieldsShareDefaultEntry(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, engine := range []string{"td", "swift"} {
+		base, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: engine})
+		if code != http.StatusOK {
+			t.Fatalf("%s status = %d", engine, code)
+		}
+		for _, field := range []string{"noSparse", "rawCFG"} {
+			body, err := json.Marshal(map[string]any{"source": testProgram, "engine": engine, field: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got analyzeResponse
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("%s/%s: status = %d, decode: %v", engine, field, resp.StatusCode, err)
+			}
+			if !got.Cached || got.TablesDigest != base.TablesDigest {
+				t.Errorf("%s/%s: cached=%v digest %s, want a hit on %s",
+					engine, field, got.Cached, got.TablesDigest, base.TablesDigest)
+			}
+		}
+	}
+	if runs := getStats(t, ts.URL).Robustness.EngineRuns; runs != 2 {
+		t.Errorf("engineRuns = %d, want 2 (one per engine)", runs)
 	}
 }
 
