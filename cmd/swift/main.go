@@ -27,14 +27,14 @@ import (
 
 func main() {
 	var (
-		engine  = flag.String("engine", "swift", "analysis engine: swift, td or bu")
+		engine  = flag.String("engine", "swift", "analysis engine: swift, swift-async, td or bu")
 		k       = flag.Int("k", 5, "SWIFT trigger threshold k (distinct incoming states)")
 		theta   = flag.Int("theta", 1, "SWIFT pruning width θ (relational cases kept)")
 		timeout = flag.Duration("timeout", time.Minute, "wall-clock budget (0 = none)")
 		edges   = flag.Int("max-path-edges", 20_000_000, "top-down path-edge budget")
 		rels    = flag.Int("max-relations", 5_000_000, "bottom-up relation budget")
 		stats   = flag.Bool("stats", false, "print per-procedure summary statistics")
-		dumpBU  = flag.Bool("dump-summaries", false, "print bottom-up summaries (swift/bu engines)")
+		dumpBU  = flag.Bool("dump-summaries", false, "print bottom-up summaries (swift, swift-async and bu engines)")
 		dumpIR  = flag.Bool("dump-ir", false, "print the lowered command IR and exit")
 		dumpCG  = flag.Bool("dump-callgraph", false, "print the 0-CFA call graph and exit")
 	)
@@ -116,7 +116,7 @@ func run(w io.Writer, path string, o options) error {
 	fmt.Fprintf(w, "engine %s finished in %v\n", o.engine, res.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "  top-down summaries: %d   bottom-up summaries: %d\n",
 		res.TDSummaryTotal(), res.BUSummaryTotal())
-	if o.engine == "swift" {
+	if o.engine == "swift" || o.engine == "swift-async" {
 		fmt.Fprintf(w, "  bottom-up triggered on %d procedures; %d call events answered from summaries, %d analyzed top-down\n",
 			len(res.Triggered), res.CallsViaBU, res.CallsViaTD)
 	}

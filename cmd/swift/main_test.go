@@ -40,7 +40,7 @@ func TestCLIOnMirror(t *testing.T) {
 }
 
 func TestCLIEngines(t *testing.T) {
-	for _, engine := range []string{"td", "bu"} {
+	for _, engine := range []string{"td", "bu", "swift-async"} {
 		var b strings.Builder
 		o := defaultOptions()
 		o.engine = engine
@@ -49,6 +49,10 @@ func TestCLIEngines(t *testing.T) {
 		}
 		if !strings.Contains(b.String(), "2 allocation site(s)") {
 			t.Errorf("%s: error report missing:\n%s", engine, b.String())
+		}
+		// Both hybrid engines print the trigger summary; the baselines do not.
+		if got, want := strings.Contains(b.String(), "bottom-up triggered on"), engine == "swift-async"; got != want {
+			t.Errorf("%s: trigger summary printed = %v, want %v:\n%s", engine, got, want, b.String())
 		}
 	}
 }

@@ -98,7 +98,6 @@ func (s *Suite) EditTable(w io.Writer, budget Budget, dir, benchmark string, see
 		v.frozenSame = b.TS.FrozenDigest() == baseFrozen
 	}
 
-	engines := []string{"td", "bu", "swift", "swift-async"}
 	var rows [][]string
 	var swiftPreservingHits, preservingEdits int
 	for _, v := range versions[1 : len(versions)-1] {
@@ -107,7 +106,7 @@ func (s *Suite) EditTable(w io.Writer, budget Budget, dir, benchmark string, see
 		}
 	}
 
-	for _, engine := range engines {
+	for _, engine := range core.Engines {
 		var trace *core.Trace
 		var baseEnc []byte
 		for vi, v := range versions {

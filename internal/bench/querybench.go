@@ -35,9 +35,6 @@ import (
 	"swift/internal/query"
 )
 
-// queryEngines is every engine the query table exercises.
-var queryEngines = []string{"td", "bu", "swift", "swift-async"}
-
 // QueryBenchRun is the outcome of the query stream for one benchmark and
 // engine.
 type QueryBenchRun struct {
@@ -167,8 +164,8 @@ func (s *Suite) queryBenchOne(name, engine string, cfg core.Config, seed int64,
 // across all four engines.
 func (s *Suite) QueryBench(name string, cfg core.Config, queries int, seed int64,
 	kinds []query.Kind) ([]*QueryBenchRun, error) {
-	runs := make([]*QueryBenchRun, 0, len(queryEngines))
-	for _, engine := range queryEngines {
+	runs := make([]*QueryBenchRun, 0, len(core.Engines))
+	for _, engine := range core.Engines {
 		run, err := s.queryBenchOne(name, engine, cfg, seed, kinds, queries)
 		if err != nil {
 			return nil, err

@@ -169,12 +169,11 @@ type Config struct {
 
 	// MaxRelations bounds the number of distinct abstract relations
 	// materialized by one bottom-up invocation. Models the exponential
-	// case explosion of the conventional bottom-up analysis. The budget is
-	// per trigger in both hybrid engines — every run_bu (and each async
-	// worker) starts from a fresh counter, and Result.BUStats aggregates
-	// the per-trigger counters afterwards — so RunSwift and RunSwiftAsync
-	// agree on which triggers exhaust it. For RunBU the entire analysis is
-	// one invocation, so the bound is effectively global there.
+	// case explosion of the conventional bottom-up analysis. In the
+	// hybrid driver the budget is per trigger, whichever executor runs it:
+	// every run_bu starts from a fresh counter, and Result.BUStats
+	// aggregates the per-trigger counters afterwards. For RunBU the entire
+	// analysis is one invocation, so the bound is effectively global there.
 	MaxRelations int
 
 	// MaxBUSteps bounds the number of evaluation steps taken by one
@@ -202,20 +201,21 @@ type Config struct {
 	// unarmed run (the wrapper only counts). See fault.go.
 	Fault *FaultPlan
 
-	// RecordTrace, when non-nil, makes RunSwiftAsync record its
-	// scheduling-visible decisions (worker spawns, summary installs and
-	// failures, relative to the call-event stream) into the trace. The
-	// trace is rewritten from scratch; see trace.go.
+	// RecordTrace, when non-nil, makes a live RunSwiftAsync run (the
+	// goroutine executor) record its scheduling-visible decisions (worker
+	// spawns, summary installs and failures, relative to the call-event
+	// stream) into the trace. The trace is rewritten from scratch; see
+	// trace.go. RunSwift ignores it.
 	RecordTrace *Trace
 
-	// ReplayTrace, when non-nil, makes RunSwiftAsync re-run a recorded
-	// schedule deterministically on a single goroutine: each run_bu
-	// executes synchronously at its recorded spawn point and its outcome
-	// becomes visible at its recorded install point. Replays of the same
-	// trace on identically built pipelines are bit-identical. A trace
-	// that does not match the run (different program, thresholds, or
-	// client behaviour) fails with ErrTraceMismatch. Takes precedence
-	// over RecordTrace.
+	// ReplayTrace, when non-nil, makes RunSwiftAsync use the replay
+	// executor: the recorded schedule re-runs on a single goroutine, each
+	// run_bu inline at its recorded spawn point and its outcome applied at
+	// its recorded install/fail point. Replays of the same trace on
+	// identically built pipelines are bit-identical. A trace that does not
+	// match the run (different program, thresholds, or client behaviour)
+	// fails with ErrTraceMismatch. Takes precedence over RecordTrace;
+	// RunSwift ignores it.
 	ReplayTrace *Trace
 
 	// SliceWorkers bounds how many slices RunSliced analyzes concurrently;
@@ -244,7 +244,7 @@ type Config struct {
 	// experiments: after a procedure is summarized, only non-dominant
 	// states still reach it top-down, so the later sample is biased and
 	// re-ranking against it tends to evict the dominant case (the ablation
-	// benchmarks record this).
+	// benchmarks record this). RunSwift only; RunSwiftAsync ignores it.
 	Resummarize int
 
 	// solver selects a test-only solver path (see solverPath); production

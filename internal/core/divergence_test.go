@@ -1,13 +1,16 @@
 package core_test
 
-// Regression tests pinning RunSwift and RunSwiftAsync to the same
-// observable behaviour: worker errors must surface as Result.Err in both
-// engines, bottom-up budgets are per trigger in both, and Result.Triggered
-// is sorted in both. Each test fails against the pre-fix engines (swallowed
-// async worker errors, cumulative sync budgets, completion-order Triggered).
+// Tests pinning RunSwift and RunSwiftAsync to the same observable
+// behaviour: worker errors must surface as Result.Err in both engines,
+// bottom-up budgets are per trigger in both, and TestHybridEnginesAgree
+// checks both engines (and a replay) against each other on every small
+// fixture.
 
 import (
 	"errors"
+	"maps"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -186,38 +189,99 @@ func TestPerTriggerBudget(t *testing.T) {
 	}
 }
 
-// TestTriggeredSorted pins the Result.Triggered contract: sorted in both
-// engines, regardless of completion order ("zz" completes first here).
-func TestTriggeredSorted(t *testing.T) {
-	prog, taint := budgetFixture()
-	an, err := core.NewAnalysis[string, string, string](
-		core.Synchronized[string, string, string](taint), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := taint.Initial()
-	cfg := core.DefaultConfig()
-	cfg.K = 1
-	sync := an.RunSwift(init, cfg)
-	async := an.RunSwiftAsync(init, cfg)
-	for name, res := range map[string]*core.Result[string, string, string]{
-		"swift": sync, "swift-async": async,
-	} {
-		if !res.Completed() {
-			t.Fatalf("%s: %v", name, res.Err)
+// agreeFixture is one program the hybrid engines must agree on. build
+// returns a fresh pipeline — program, client and initial state — so a
+// replay never shares client state with the run it reproduces.
+type agreeFixture struct {
+	name  string
+	build func() (*ir.Program, core.Client[string, string, string], string)
+}
+
+func agreeFixtures() []agreeFixture {
+	drainish := func(prog func() *ir.Program) func() (*ir.Program, core.Client[string, string, string], string) {
+		return func() (*ir.Program, core.Client[string, string, string], string) {
+			kg := drainClient()
+			return prog(), kg, kg.State(kg.MakeBits())
 		}
-		for i := 1; i < len(res.Triggered); i++ {
-			if res.Triggered[i-1] >= res.Triggered[i] {
-				t.Errorf("%s: Triggered not sorted: %v", name, res.Triggered)
+	}
+	return []agreeFixture{
+		{"drain", drainish(drainProgram)},
+		{"blocked", drainish(blockedProgram)},
+		{"nested-blocked", drainish(nestedBlockedProgram)},
+		{"budget", func() (*ir.Program, core.Client[string, string, string], string) {
+			prog, taint := budgetFixture()
+			return prog, taint, taint.Initial()
+		}},
+	}
+}
+
+// summarized returns the procedures with a bottom-up summary, sorted.
+func summarized(res *core.Result[string, string, string]) []string {
+	var names []string
+	for name := range res.BU {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// TestHybridEnginesAgree is the cross-engine oracle of the hybrid driver:
+// on every fixture, swift and a live swift-async run agree on Triggered
+// (sorted in both, regardless of completion order — on the budget fixture
+// "zz" completes first), the set of summarized procedures, BUFailed and
+// the exit states; and replaying the live run's recorded trace reproduces
+// its result field for field.
+func TestHybridEnginesAgree(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, fx := range agreeFixtures() {
+		var init string
+		run := func(engine string, trace *core.Trace, replay bool) *core.Result[string, string, string] {
+			prog, client, in := fx.build()
+			init = in
+			an, err := core.NewAnalysis[string, string, string](
+				core.Synchronized[string, string, string](client), prog)
+			if err != nil {
+				t.Fatal(err)
 			}
+			cfg := core.DefaultConfig()
+			cfg.K = 1
+			if replay {
+				cfg.ReplayTrace = trace
+			} else {
+				cfg.RecordTrace = trace
+			}
+			res, err := an.RunEngine(engine, init, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed() {
+				t.Fatalf("%s: %s: %v", fx.name, engine, res.Err)
+			}
+			if !slices.IsSorted(res.Triggered) || len(slices.Compact(slices.Clone(res.Triggered))) != len(res.Triggered) {
+				t.Errorf("%s: %s: Triggered not sorted and deduplicated: %v", fx.name, engine, res.Triggered)
+			}
+			return res
+		}
+		sync := run("swift", nil, false)
+		trace := &core.Trace{}
+		async := run("swift-async", trace, false)
+		if !slices.Equal(sync.Triggered, async.Triggered) {
+			t.Errorf("%s: Triggered: swift %v, swift-async %v", fx.name, sync.Triggered, async.Triggered)
+		}
+		if a, b := summarized(sync), summarized(async); !slices.Equal(a, b) {
+			t.Errorf("%s: summarized: swift %v, swift-async %v", fx.name, a, b)
+		}
+		if !maps.Equal(sync.BUFailed, async.BUFailed) {
+			t.Errorf("%s: BUFailed: swift %v, swift-async %v", fx.name, sync.BUFailed, async.BUFailed)
+		}
+		if a, b := sync.ExitStates("main", init), async.ExitStates("main", init); !slices.Equal(a, b) {
+			t.Errorf("%s: exit states: swift %v, swift-async %v", fx.name, a, b)
+		}
+		recorded := fingerprintResult(async, "main", init)
+		if replayed := fingerprintResult(run("swift-async", trace, true), "main", init); replayed != recorded {
+			t.Errorf("%s: replay diverges from record\n--- record ---\n%s--- replay ---\n%s",
+				fx.name, recorded, replayed)
 		}
 	}
-	if len(sync.Triggered) != len(async.Triggered) {
-		t.Fatalf("engines disagree on triggers: %v vs %v", sync.Triggered, async.Triggered)
-	}
-	for i := range sync.Triggered {
-		if sync.Triggered[i] != async.Triggered[i] {
-			t.Fatalf("engines disagree on triggers: %v vs %v", sync.Triggered, async.Triggered)
-		}
-	}
+	checkNoLeakedGoroutines(t, before)
 }

@@ -9,6 +9,7 @@ package core_test
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"swift/internal/core"
@@ -82,7 +83,42 @@ func blockedProgram() *ir.Program {
 	return prog
 }
 
+// nestedBlockedProgram nests blockedProgram one level deeper: main sends
+// {p} and {q} to both a and b, a = norm + (block; call b) and
+// b = norm + (block; call h). At k=1 both a and b trigger, and both
+// frontiers contain h, which the top-down analysis never reaches, so the
+// drain must force them. Forcing a summarizes a's whole frontier {a, b, h},
+// which leaves nothing for b's forced trigger to do.
+func nestedBlockedProgram() *ir.Program {
+	prog := ir.NewProgram("main")
+	var alts []ir.Cmd
+	for _, callee := range []string{"a", "b"} {
+		for _, gen := range []string{"genp", "genq"} {
+			alts = append(alts, &ir.Seq{Cmds: []ir.Cmd{tag(gen), &ir.Call{Callee: callee}}})
+		}
+	}
+	prog.Add(&ir.Proc{Name: "main", Body: &ir.Choice{Alts: alts}})
+	blocked := func(callee string) ir.Cmd {
+		return &ir.Choice{Alts: []ir.Cmd{
+			tag("norm"),
+			&ir.Seq{Cmds: []ir.Cmd{tag("block"), &ir.Call{Callee: callee}}},
+		}}
+	}
+	prog.Add(&ir.Proc{Name: "a", Body: blocked("b")})
+	prog.Add(&ir.Proc{Name: "b", Body: blocked("h")})
+	prog.Add(&ir.Proc{Name: "h", Body: tag("noop")})
+	return prog
+}
+
 func runDrainFixture(t *testing.T, prog *ir.Program, async bool) *core.Result[string, string, string] {
+	t.Helper()
+	return runDrainFixtureWarm(t, prog, async, nil)
+}
+
+// runDrainFixtureWarm is runDrainFixture with a summary source attached.
+func runDrainFixtureWarm(
+	t *testing.T, prog *ir.Program, async bool, warm core.SummarySource[string, string],
+) *core.Result[string, string, string] {
 	t.Helper()
 	kg := drainClient()
 	var client core.Client[string, string, string] = kg
@@ -93,6 +129,7 @@ func runDrainFixture(t *testing.T, prog *ir.Program, async bool) *core.Result[st
 	if err != nil {
 		t.Fatal(err)
 	}
+	an.Warm = warm
 	cfg := core.DefaultConfig()
 	cfg.K = 1
 	init := kg.State(kg.MakeBits())
@@ -143,10 +180,60 @@ func TestAsyncPendingTriggerForcedDrain(t *testing.T) {
 	checkDrained(t, res, []string{"f", "g", "h"})
 }
 
+// publishLog is a summary source that never hits and logs the frontier
+// of every outcome offered to it. Safe for concurrent use.
+type publishLog struct {
+	mu        sync.Mutex
+	frontiers [][]string
+}
+
+func (p *publishLog) Lookup(string, []string) (core.TriggerOutcome[string, string], bool) {
+	return core.TriggerOutcome[string, string]{}, false
+}
+
+func (p *publishLog) Publish(_ string, frontier []string, _ core.TriggerOutcome[string, string]) {
+	p.mu.Lock()
+	p.frontiers = append(p.frontiers, slices.Clone(frontier))
+	p.mu.Unlock()
+}
+
+// TestNestedForcedDrainDropsSummarized pins the forced drain against
+// re-running a trigger whose procedure an earlier forced trigger already
+// summarized: b must be dropped, not run on an empty frontier (one extra
+// bottom-up round, a spurious Triggered entry, and an empty outcome
+// published to the summary source). Both engines must agree.
+func TestNestedForcedDrainDropsSummarized(t *testing.T) {
+	var stats []core.BUStats
+	for _, async := range []bool{false, true} {
+		log := &publishLog{}
+		res := runDrainFixtureWarm(t, nestedBlockedProgram(), async, log)
+		if !res.Completed() {
+			t.Fatalf("%s: %v", res.Engine, res.Err)
+		}
+		if !slices.Equal(res.Triggered, []string{"a"}) {
+			t.Errorf("%s: Triggered = %v, want [a]", res.Engine, res.Triggered)
+		}
+		for _, name := range []string{"a", "b", "h"} {
+			if _, ok := res.BU[name]; !ok {
+				t.Errorf("%s: no bottom-up summary for %s", res.Engine, name)
+			}
+		}
+		for _, f := range log.frontiers {
+			if len(f) == 0 {
+				t.Errorf("%s: published an outcome for an empty frontier", res.Engine)
+			}
+		}
+		stats = append(stats, res.BUStats)
+	}
+	if stats[0] != stats[1] {
+		t.Errorf("BUStats: swift %+v, swift-async %+v", stats[0], stats[1])
+	}
+}
+
 // TestSwiftDrainCoincidence checks Theorem 3.1 still holds on the drain
 // fixtures: exit states match the pure top-down analysis.
 func TestSwiftDrainCoincidence(t *testing.T) {
-	for _, prog := range []*ir.Program{drainProgram(), blockedProgram()} {
+	for _, prog := range []*ir.Program{drainProgram(), blockedProgram(), nestedBlockedProgram()} {
 		kg := drainClient()
 		an, err := core.NewAnalysis[string, string, string](kg, prog)
 		if err != nil {

@@ -234,3 +234,19 @@ func TestResultAccessors(t *testing.T) {
 		t.Errorf("entry node states = %v", got)
 	}
 }
+
+// TestUnknownEngineMessage pins the engine list's unknown-engine error,
+// whose text the core, driver and swiftd entry points all report.
+func TestUnknownEngineMessage(t *testing.T) {
+	an, taint := newAnalysis(t)
+	for _, engine := range core.Engines {
+		if err := core.Engines.Check(engine); err != nil {
+			t.Errorf("%s: %v", engine, err)
+		}
+	}
+	_, err := an.RunEngine("bogus", taint.Initial(), core.DefaultConfig())
+	want := `core: unknown engine "bogus" (want td, bu, swift or swift-async)`
+	if err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %s", err, want)
+	}
+}

@@ -78,8 +78,7 @@ func (a *Analysis[S, R, P]) tdView(config Config) (*ir.CFGView, *ir.StructIndex)
 
 // Result is the outcome of one engine run.
 type Result[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
-	// Engine names the solver that produced the result: "td", "bu" or
-	// "swift".
+	// Engine names the solver that produced the result, one of Engines.
 	Engine string
 	// TD holds the tabulation output (path edges, summaries, incoming-state
 	// multisets). For the bottom-up baseline it holds the instantiation
@@ -247,28 +246,54 @@ func (b *buInstantiator[S, R, P]) beforeCall(callee string, s S) ([]S, bool, err
 func (b *buInstantiator[S, R, P]) afterCall(string, S) error { return nil }
 
 // RunSwift runs Algorithm 1: top-down tabulation with bottom-up
-// summarization triggered at threshold k and pruned at width θ.
+// summarization triggered at threshold k and pruned at width θ. Every
+// trigger's run_bu runs inline on the tabulation's goroutine, so the run
+// is deterministic.
 func (a *Analysis[S, R, P]) RunSwift(initial S, config Config) *Result[S, R, P] {
+	return a.runHybrid("swift", initial, config, false)
+}
+
+// runHybrid is the one Algorithm 1 driver behind RunSwift and
+// RunSwiftAsync. The engines differ only in the executor that runs a
+// trigger's run_bu: inline (swift), on worker goroutines (live
+// swift-async), or inline at the spawn points of a recorded trace
+// (swift-async with Config.ReplayTrace).
+func (a *Analysis[S, R, P]) runHybrid(engine string, initial S, config Config, async bool) *Result[S, R, P] {
 	start := time.Now()
 	res := &Result[S, R, P]{
-		Engine:   "swift",
+		Engine:   engine,
 		BU:       map[string]RSet[R, P]{},
 		BUFailed: map[string]bool{},
 	}
-	client := effectiveClient(a.Client, config)
 	h := &hybrid[S, R, P]{
-		a: a, client: client, config: config, res: res,
+		a: a, client: effectiveClient(a.Client, config), config: config, res: res,
 		watch:    map[string]*watchRec{},
 		pending:  map[string]bool{},
 		panicked: map[string]int{},
+		errs:     map[string]error{},
 	}
-	// The hybrid engine steps the raw view: trigger timing depends on pop
-	// order, which compression would change (see tdView). It still gets the
-	// transfer memo, whose hits replay raw Trans output bit-for-bit. For
-	// the same reason the sparse scheduler stays off here (nil index):
+	switch {
+	case !async:
+	case config.ReplayTrace != nil:
+		if err := config.ReplayTrace.validate(a.Prog.Entry, config); err != nil {
+			res.Elapsed = time.Since(start)
+			res.Err = err
+			return res
+		}
+		h.replay = &replayer[S, R, P]{trace: config.ReplayTrace, stash: map[string]completion[S, R, P]{}}
+	default:
+		h.pool = &workerPool[S, R, P]{busy: map[string]bool{}}
+		if config.RecordTrace != nil {
+			h.rec = config.RecordTrace
+			h.rec.reset(a.Prog.Entry, config)
+		}
+	}
+	// The hybrid engines step the raw view: trigger timing depends on pop
+	// order, which compression would change (see tdView). They still get
+	// the transfer memo, whose hits replay raw Trans output bit-for-bit.
+	// For the same reason the sparse scheduler stays off here (nil index):
 	// reordering pops would move the EntrySeen samples triggers rank by.
-	t := newTDSolver(client, a.raw(), config, h, nil)
-	h.td = t
+	t := newTDSolver(h.client, a.raw(), config, h, nil)
 	res.TD = t.res
 	err := func() (err error) {
 		defer contain(&err)
@@ -278,26 +303,36 @@ func (a *Analysis[S, R, P]) RunSwift(initial S, config Config) *Result[S, R, P] 
 		if err := t.run(); err != nil {
 			return err
 		}
-		// The worklist is empty; flush triggers still postponed in pending
-		// (the periodic retry only fires every 64th call event, so triggers
-		// whose last chance fell inside a retry window gap would otherwise
-		// be dropped and the run would under-summarize).
-		return h.drainPending()
+		return h.drain()
 	}()
+	if h.pool != nil {
+		// Wait out every worker — no goroutine outlives the run — then
+		// absorb whatever completions they posted (post-abort ones are
+		// discarded except for their counters and fatal errors).
+		h.pool.wg.Wait()
+		h.drainQueue()
+	}
 	res.Triggered = newSortedSet(res.Triggered)
+	if errors.Is(err, errWorkerFailed) {
+		err = nil // replaced by the joined worker errors below
+	}
+	if werr := h.joinedErrs(); werr != nil {
+		err = errors.Join(err, werr)
+	}
 	res.Elapsed = time.Since(start)
 	res.Err = err
 	return res
 }
 
 // hybrid is the call interceptor implementing the SWIFT-specific parts of
-// Algorithm 1 (lines 12–19).
+// Algorithm 1 (lines 12–19) for every executor. Its fields are owned by
+// the tabulation's goroutine; the goroutine executor's workers only see
+// the snapshots they are handed and the completion queue.
 type hybrid[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	a *Analysis[S, R, P]
 	// client is the effective client of this run (the analysis client, or
 	// its fault wrapper when Config.Fault is armed).
 	client Client[S, R, P]
-	td     *tdSolver[S, R, P]
 	config Config
 	res    *Result[S, R, P]
 	// panicked counts contained run_bu panics per trigger, bounding retries
@@ -306,13 +341,34 @@ type hybrid[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	// watch tracks per-procedure Σ-fallbacks to drive adaptive
 	// re-summarization (Config.Resummarize).
 	watch map[string]*watchRec
-	// pending holds procedures whose trigger fired but whose run_bu was
-	// postponed because some reachable procedure had no top-down incoming
-	// state yet to rank by (Section 4). Postponed means deferred, not
-	// dropped: the driver periodically retries them.
+	// pending holds triggers that fired but could not start: some frontier
+	// procedure had no top-down incoming state yet to rank by (Section 4),
+	// the frontier overlapped an in-flight worker, or a contained panic
+	// earned a retry on a worker. Postponed means deferred, not dropped:
+	// the driver retries them periodically and drains them at the end.
 	pending map[string]bool
 	// retryTick throttles pending retries.
 	retryTick int
+	// errs collects fatal outcomes of the goroutine and replay executors
+	// by trigger; joinedErrs aggregates them in sorted-trigger order, so
+	// concurrent failures aggregate deterministically. aborted is set with
+	// the first one: no further trigger starts and later outcomes are
+	// discarded. The inline executor returns a fatal error directly.
+	errs    map[string]error
+	aborted bool
+
+	// seq counts call events for the goroutine and replay executors; it
+	// increments at the start of every beforeCall, so trace events
+	// recorded while handling one call event all carry that event's
+	// ordinal (see trace.go). rec is the trace being recorded, nil when not
+	// recording.
+	seq int
+	rec *Trace
+	// pool is the goroutine executor (live swift-async) and replay the
+	// replay executor (swift-async with Config.ReplayTrace). With both nil
+	// the executor is inline (swift).
+	pool   *workerPool[S, R, P]
+	replay *replayer[S, R, P]
 }
 
 // watchRec tracks how useful a procedure's bottom-up summary has been.
@@ -322,10 +378,31 @@ type watchRec struct {
 	limit     int // fallback budget before the next re-summarization
 }
 
+// errWorkerFailed is the internal abort sentinel the interceptor returns
+// to stop the tabulation once a fatal outcome of the goroutine or replay
+// executor has been applied. runHybrid strips it and substitutes the
+// joined per-trigger errors; it never escapes to callers.
+var errWorkerFailed = errors.New("core: async worker failed")
+
 // beforeCall applies a bottom-up summary when one exists and the incoming
 // state is not in its ignored set Σ (line 12 of Algorithm 1); Theorem 3.1
-// guarantees the result equals re-analyzing the callee top-down.
+// guarantees the result equals re-analyzing the callee top-down. The
+// goroutine and replay executors first make visible the outcomes that
+// finished since the last call event.
 func (h *hybrid[S, R, P]) beforeCall(callee string, s S) ([]S, bool, error) {
+	switch {
+	case h.pool != nil:
+		h.seq++
+		h.drainQueue()
+	case h.replay != nil:
+		h.seq++
+		if err := h.replayOutcomesAt(); err != nil {
+			return nil, false, err
+		}
+	}
+	if h.aborted {
+		return nil, false, errWorkerFailed
+	}
 	rs, ok := h.res.BU[callee]
 	if !ok {
 		return nil, false, nil
@@ -351,7 +428,8 @@ func (h *hybrid[S, R, P]) beforeCall(callee string, s S) ([]S, bool, error) {
 
 // noteFallback records a Σ-fallback and, once the summary has proven
 // ineffective often enough, recomputes it against the current (much larger)
-// incoming-state sample.
+// incoming-state sample. RunSwiftAsync clears Config.Resummarize, so this
+// only ever runs inline.
 func (h *hybrid[S, R, P]) noteFallback(callee string) error {
 	if h.config.Resummarize <= 0 {
 		return nil
@@ -398,70 +476,94 @@ func (h *hybrid[S, R, P]) noteFallback(callee string) error {
 // afterCall checks the trigger condition (line 17): once the callee has more
 // than k distinct incoming states and no bottom-up summary yet, run the
 // pruned bottom-up analysis on all procedures reachable from it. Postponed
-// triggers are retried periodically: a procedure's calls often arrive in a
-// burst before its callees have any incoming states to rank by, and the
-// retry fires run_bu once they do.
+// triggers are retried every 64th call event: a procedure's calls often
+// arrive in a burst before its callees have any incoming states to rank
+// by, or while an overlapping worker is still running. Under replay the
+// trace dictates the schedule instead: this call event's recorded spawns
+// are consumed and no trigger condition is evaluated.
 func (h *hybrid[S, R, P]) afterCall(callee string, s S) error {
 	h.res.CallsViaTD++
+	if h.aborted {
+		return errWorkerFailed
+	}
+	if h.replay != nil {
+		return h.replaySpawnsAt()
+	}
 	if h.config.K == Unlimited {
 		return nil
 	}
 	if h.res.TD.EntrySeen[callee].distinct() > h.config.K {
-		if _, done := h.res.BU[callee]; !done && !h.res.BUFailed[callee] {
-			if err := h.trigger(callee, false); err != nil {
-				return err
-			}
+		if _, err := h.try(callee, false); err != nil {
+			return err
 		}
 	}
 	h.retryTick++
 	if h.retryTick&0x3f == 0 && len(h.pending) > 0 {
-		if err := h.retryPending(); err != nil {
+		if _, err := h.tryPending(false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// retryPending re-attempts every postponed trigger once, in sorted order.
-func (h *hybrid[S, R, P]) retryPending() error {
+// tryPending tries every postponed trigger once, in sorted order, and
+// reports whether any of them started.
+func (h *hybrid[S, R, P]) tryPending(force bool) (bool, error) {
+	started := false
 	for _, f := range newSortedSet(keysOf(h.pending)) {
-		if _, done := h.res.BU[f]; done || h.res.BUFailed[f] {
-			delete(h.pending, f)
-			continue
+		ok, err := h.try(f, force)
+		if err != nil {
+			return started, err
 		}
-		if err := h.trigger(f, false); err != nil {
-			return err
-		}
+		started = started || ok
 	}
-	return nil
+	return started, nil
 }
 
-// drainPending is the final flush of postponed triggers, run after the
-// top-down worklist empties. Earlier triggers can install summaries that
-// shrink later triggers' frontiers, so it retries in rounds while that
-// makes progress; triggers still postponed then are waiting on procedures
-// the top-down analysis never reached (dead branches of the frontier) and
-// are forced — the pruning operator handles absent ranking data by keeping
-// the first θ relations in canonical order.
-func (h *hybrid[S, R, P]) drainPending() error {
-	for len(h.pending) > 0 {
-		before := len(h.pending)
-		if err := h.retryPending(); err != nil {
+// drain is the final flush of postponed triggers, run after the top-down
+// worklist empties — without it, triggers postponed inside the last retry
+// window would be silently dropped and the run would under-summarize. It
+// runs in waves: wait for in-flight workers (their completion clears busy
+// overlaps and may install summaries that shrink other frontiers), retry
+// everything pending, and if nothing could start force the remainder.
+// Their unranked frontier procedures were never reached top-down; the
+// pruning operator handles absent ranking data by keeping the first θ
+// relations in canonical order. A forced trigger whose procedure an
+// earlier one already summarized is dropped, not re-run on an empty
+// frontier. Under replay the drain is the trace's tail instead.
+func (h *hybrid[S, R, P]) drain() error {
+	// One seq bump for the whole drain phase: its events sort after every
+	// call event's, and replay processes them in list order.
+	h.seq++
+	if h.replay != nil {
+		return h.replayTail()
+	}
+	for {
+		if h.pool != nil {
+			h.pool.wg.Wait()
+			h.drainQueue()
+		}
+		if h.aborted {
+			return errWorkerFailed
+		}
+		if len(h.pending) == 0 {
+			return nil
+		}
+		started, err := h.tryPending(false)
+		if err != nil {
 			return err
 		}
-		if len(h.pending) < before {
-			continue
-		}
-		for _, f := range newSortedSet(keysOf(h.pending)) {
-			if err := h.trigger(f, true); err != nil {
+		if !started {
+			// With nothing in flight, the first forced trigger always
+			// starts, so every wave makes progress and the loop terminates.
+			if _, err := h.tryPending(true); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
 }
 
-func keysOf(m map[string]bool) []string {
+func keysOf[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -469,86 +571,51 @@ func keysOf(m map[string]bool) []string {
 	return out
 }
 
-// trigger runs run_bu(Γ, θ, f, bu) with the paper's two implementation
-// refinements (Section 4): procedures that already have summaries are reused
-// rather than recomputed, and triggering is postponed until every procedure
-// to be analyzed has at least one top-down incoming state (otherwise the
-// pruning operator has no data to rank by). force skips the postpone check;
-// the final drain uses it for frontiers the top-down analysis never
-// completes.
-func (h *hybrid[S, R, P]) trigger(f string, force bool) error {
-	frontier := h.reachableWithoutSummaries(f)
+// try starts run_bu(Γ, θ, f, bu) for trigger f with the paper's two
+// implementation refinements (Section 4): procedures that already have
+// summaries are reused rather than recomputed, and triggering is
+// postponed until every procedure to be analyzed has at least one
+// top-down incoming state (otherwise the pruning operator has no data to
+// rank by). force skips the postpone check; the final drain uses it for
+// frontiers the top-down analysis never completes. Triggers already
+// summarized or failed are dropped. try reports whether run_bu started;
+// the inline executor has also applied its outcome by then.
+func (h *hybrid[S, R, P]) try(f string, force bool) (bool, error) {
+	if h.aborted {
+		return false, nil
+	}
+	if _, done := h.res.BU[f]; done || h.res.BUFailed[f] {
+		delete(h.pending, f)
+		return false, nil
+	}
+	frontier := h.frontier(f)
 	if !force {
 		for _, g := range frontier {
 			if h.res.TD.EntrySeen[g].distinct() == 0 {
 				h.pending[f] = true // postpone: retried once g has data
-				return nil
+				return false, nil
 			}
 		}
+	}
+	if h.pool != nil && !h.spawn(f, frontier, force) {
+		h.pending[f] = true // an in-flight worker covers part of the frontier
+		return false, nil
 	}
 	delete(h.pending, f)
-	// Warm-start: the lookup sits exactly where run_bu would start, after
-	// the postpone check, so a warm run makes the same scheduling decisions
-	// as the cold run that published the outcome — the prerequisite for
-	// byte-identical replays (see warm.go and internal/driver).
-	if h.a.Warm != nil {
-		if out, ok := h.a.Warm.Lookup(f, frontier); ok {
-			if out.Failed {
-				h.res.BUFailed[f] = true
-				return nil
-			}
-			for name, rs := range out.Eta {
-				h.res.BU[name] = rs
-			}
-			h.res.Triggered = append(h.res.Triggered, f)
-			return nil
+	for h.pool == nil {
+		// Inline: a contained panic is retried at once, on the same frontier.
+		retry, err := h.apply(h.runBU(f, frontier, h.res.BU, h.res.TD.EntrySeen))
+		if err != nil || !retry {
+			return true, err
 		}
 	}
-	for {
-		// Each trigger gets the full MaxRelations/MaxBUSteps budget from the
-		// config (worker-local counters, aggregated after), matching the
-		// async engine's per-worker accounting — a cumulative charge here
-		// would make the two engines disagree on which trigger DNFs.
-		var stats BUStats
-		eta, err := safeRunBU(
-			h.client, h.a.Prog, h.config, h.config.Theta,
-			frontier, h.res.BU, h.res.TD.EntrySeen, &stats,
-		)
-		h.res.BUStats.add(stats)
-		publishOutcome(h.a.Warm, f, frontier, eta, err)
-		if errors.Is(err, ErrClientPanic) {
-			// A contained panic inside the trigger: retry a bounded number
-			// of times, then degrade to the same top-down fallback a blown
-			// budget gets (Theorem 3.1 makes the fallback safe).
-			h.res.ClientPanics++
-			h.panicked[f]++
-			if h.panicked[f] <= panicRetryLimit {
-				continue
-			}
-			h.res.BUFailed[f] = true
-			return nil
-		}
-		if errors.Is(err, ErrBudget) {
-			// The bottom-up side ran out of budget: fall back to pure
-			// top-down for this trigger procedure and carry on.
-			h.res.BUFailed[f] = true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for name, rs := range eta {
-			h.res.BU[name] = rs
-		}
-		h.res.Triggered = append(h.res.Triggered, f)
-		return nil
-	}
+	return true, nil
 }
 
-// reachableWithoutSummaries returns the procedures reachable from f by call
-// chains, not expanding through procedures that already have bottom-up
-// summaries (they are reused via η), sorted.
-func (h *hybrid[S, R, P]) reachableWithoutSummaries(f string) []string {
+// frontier returns the procedures reachable from f by call chains, not
+// expanding through procedures that already have bottom-up summaries (they
+// are reused via η), sorted.
+func (h *hybrid[S, R, P]) frontier(f string) []string {
 	seen := map[string]bool{}
 	var out []string
 	var visit func(string)
@@ -571,4 +638,109 @@ func (h *hybrid[S, R, P]) reachableWithoutSummaries(f string) []string {
 	}
 	visit(f)
 	return newSortedSet(out)
+}
+
+// completion is one finished run_bu invocation, as every executor hands
+// it to apply.
+type completion[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
+	trigger  string
+	frontier []string
+	eta      map[string]RSet[R, P]
+	stats    BUStats
+	err      error
+}
+
+// runBU runs trigger f's bottom-up analysis over frontier against the
+// summaries eta and the incoming-state sample rank (the live engine state,
+// or a worker's snapshots of it). Warm-start sits exactly where run_bu
+// would start, after the postpone check, so a warm run makes the same
+// scheduling decisions as the cold run that published the outcome — the
+// prerequisite for byte-identical replays (see warm.go and
+// internal/driver). Each invocation gets the full MaxRelations/MaxBUSteps
+// budget from the config (counters local to the completion, aggregated
+// by apply). It reads only immutable engine state, so workers call it.
+func (h *hybrid[S, R, P]) runBU(
+	f string, frontier []string, eta map[string]RSet[R, P], rank map[string]multiset[S],
+) completion[S, R, P] {
+	c := completion[S, R, P]{trigger: f, frontier: frontier}
+	if warm := h.a.Warm; warm != nil {
+		if out, ok := warm.Lookup(f, frontier); ok {
+			if out.Failed {
+				c.err = errCachedBudget()
+			} else {
+				c.eta = out.Eta
+			}
+			return c
+		}
+	}
+	c.eta, c.err = safeRunBU(h.client, h.a.Prog, h.config, h.config.Theta, frontier, eta, rank, &c.stats)
+	publishOutcome(h.a.Warm, f, frontier, c.eta, c.err)
+	return c
+}
+
+// apply is where every run_bu outcome becomes engine state: summaries
+// install, budget exhaustion degrades to a top-down fallback, contained
+// panics earn a bounded retry (reported as retry) and then degrade too
+// (Theorem 3.1 makes both fallbacks safe), and anything else is fatal and
+// returned. Once the run is aborting, outcomes are discarded — nothing is
+// installed or recorded — except for their counters and fatal errors.
+func (h *hybrid[S, R, P]) apply(c completion[S, R, P]) (retry bool, fatal error) {
+	h.res.BUStats.add(c.stats)
+	panicked := errors.Is(c.err, ErrClientPanic)
+	failed := panicked || errors.Is(c.err, ErrBudget)
+	switch {
+	case h.aborted:
+		if c.err != nil && !failed {
+			return false, c.err
+		}
+		return false, nil
+	case c.err == nil:
+		for name, rs := range c.eta {
+			h.res.BU[name] = rs
+		}
+		h.res.Triggered = append(h.res.Triggered, c.trigger)
+		h.record(TraceInstall, c.trigger, false)
+		return false, nil
+	case panicked:
+		h.res.ClientPanics++
+		h.panicked[c.trigger]++
+		if h.panicked[c.trigger] <= panicRetryLimit {
+			return true, nil
+		}
+	}
+	h.record(TraceFail, c.trigger, false)
+	if failed {
+		h.res.BUFailed[c.trigger] = true
+		return false, nil
+	}
+	return false, c.err
+}
+
+// abort records a fatal outcome of the goroutine or replay executor and
+// stops the run at the next call event.
+func (h *hybrid[S, R, P]) abort(trigger string, err error) {
+	h.errs[trigger] = errors.Join(h.errs[trigger], err)
+	h.aborted = true
+}
+
+// joinedErrs joins the fatal outcomes in sorted-trigger order: a
+// deterministic aggregate no matter in which order the workers crossed
+// the finish line.
+func (h *hybrid[S, R, P]) joinedErrs() error {
+	if len(h.errs) == 0 {
+		return nil
+	}
+	joined := make([]error, 0, len(h.errs))
+	for _, name := range newSortedSet(keysOf(h.errs)) {
+		joined = append(joined, fmt.Errorf("trigger %s: %w", name, h.errs[name]))
+	}
+	return errors.Join(joined...)
+}
+
+// record appends a trace event at the current call-event ordinal when
+// recording is armed.
+func (h *hybrid[S, R, P]) record(kind TraceEventKind, trigger string, forced bool) {
+	if h.rec != nil {
+		h.rec.add(h.seq, kind, trigger, forced)
+	}
 }

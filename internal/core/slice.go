@@ -26,6 +26,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,6 +164,22 @@ func (r *SlicedResult[S, R, P]) Triggered() []string {
 	return out
 }
 
+// Engines lists every engine RunEngine dispatches, in table order. Entry
+// points that take an engine name validate it with Engines.Check.
+var Engines = engineList{"td", "bu", "swift", "swift-async"}
+
+type engineList []string
+
+// Check returns nil for a listed engine, and otherwise the unknown-engine
+// error every entry point reports (callers add their package prefix).
+func (l engineList) Check(name string) error {
+	if slices.Contains(l, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown engine %q (want %s or %s)",
+		name, strings.Join(l[:len(l)-1], ", "), l[len(l)-1])
+}
+
 // RunEngine dispatches an engine by name, applying the baseline threshold
 // conventions (td disables triggering, bu disables pruning). It is the
 // single dispatch point shared by the driver's monolithic path and
@@ -180,7 +197,7 @@ func (a *Analysis[S, R, P]) RunEngine(engine string, initial S, config Config) (
 	case "swift-async":
 		return a.RunSwiftAsync(initial, config), nil
 	}
-	return nil, fmt.Errorf("core: unknown engine %q (want td, bu, swift or swift-async)", engine)
+	return nil, fmt.Errorf("core: %w", Engines.Check(engine))
 }
 
 // withClient returns an Analysis over the same program and traversal views
@@ -225,13 +242,13 @@ func (a *Analysis[S, R, P]) RunSliceSet(engine string, config Config, subset []S
 	// the structure index) the engine will use on this goroutine, before
 	// any worker can race to build them lazily. Both are immutable once
 	// built, so the slice runs share them freely.
-	switch engine {
-	case "td", "bu":
+	if err := Engines.Check(engine); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if engine == "td" || engine == "bu" {
 		a.tdView(config)
-	case "swift", "swift-async":
+	} else {
 		a.raw()
-	default:
-		return nil, fmt.Errorf("core: unknown engine %q (want td, bu, swift or swift-async)", engine)
 	}
 	ids := append([]SliceID(nil), subset...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

@@ -1,23 +1,27 @@
 package core
 
-// Trigger record/replay for the asynchronous hybrid engine.
+// Trigger record/replay for RunSwiftAsync, and the hybrid driver's replay
+// executor.
 //
-// RunSwiftAsync's result tables are timing-dependent for exactly one
-// reason: the top-down tabulation's decisions depend on *which bottom-up
-// summaries are visible at each call event*, and summaries are installed
-// by concurrent workers. Everything else — the tabulation itself, each
-// run_bu given its inputs — is deterministic. So the schedule is fully
-// captured by three event kinds aligned to the main goroutine's call-event
-// stream: when a trigger's worker was spawned (its inputs are snapshots of
-// main-goroutine state at that point), and when its outcome became visible
-// (installed, or failed). A recorded Trace replays by re-running the same
-// tabulation single-threaded, executing each run_bu synchronously at its
-// recorded spawn point and publishing its outcome at its recorded
-// install/fail point — bit-deterministic, which is what lets swift-async
+// A live RunSwiftAsync run is timing-dependent for exactly one reason: the
+// top-down tabulation's decisions depend on *which bottom-up summaries are
+// visible at each call event*, and summaries are installed by concurrent
+// workers. Everything else — the tabulation itself, each run_bu given its
+// inputs — is deterministic. So the schedule is fully captured by three
+// event kinds aligned to the main goroutine's call-event stream: when a
+// trigger's worker was spawned (its inputs are snapshots of main-goroutine
+// state at that point), and when its outcome became visible (installed,
+// or failed). The goroutine executor records them (Config.RecordTrace).
+// The replay executor (Config.ReplayTrace) re-runs the same tabulation
+// single-threaded through the same driver, but takes the schedule from
+// the trace instead of the trigger condition: it runs each run_bu inline
+// at its recorded spawn and applies the outcome at its recorded
+// install/fail event — bit-deterministic, which is what lets swift-async
 // join the byte-identical table harness (see DESIGN.md §7).
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"strconv"
@@ -228,4 +232,134 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("core: reading trace: %w", err)
 	}
 	return t, nil
+}
+
+// replayer is the replay executor's state: the trace being replayed, the
+// next event to consume, and the outcome of each executed spawn until its
+// install or fail event.
+type replayer[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
+	trace  *Trace
+	cursor int
+	stash  map[string]completion[S, R, P]
+}
+
+// replayOutcomesAt consumes this call event's recorded install/fail
+// events, applying the stashed outcome of each spawn at the moment the
+// recorded run's top-down analysis first saw it.
+func (h *hybrid[S, R, P]) replayOutcomesAt() error {
+	r := h.replay
+	for r.cursor < len(r.trace.Events) {
+		e := r.trace.Events[r.cursor]
+		if e.Seq < h.seq {
+			return fmt.Errorf("%w: event %d (%s %s at seq %d) was never consumed",
+				ErrTraceMismatch, r.cursor, e.Kind, e.Trigger, e.Seq)
+		}
+		if e.Seq != h.seq || e.Kind == TraceSpawn {
+			return nil
+		}
+		r.cursor++
+		if err := h.replayOutcome(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replaySpawnsAt consumes this call event's recorded spawns.
+func (h *hybrid[S, R, P]) replaySpawnsAt() error {
+	r := h.replay
+	for r.cursor < len(r.trace.Events) {
+		e := r.trace.Events[r.cursor]
+		if e.Seq != h.seq || e.Kind != TraceSpawn {
+			return nil
+		}
+		r.cursor++
+		if err := h.replaySpawn(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replaySpawn runs a recorded spawn inline and stashes its outcome until
+// the trace says it became visible. The inputs equal the recorded worker's
+// snapshots: the summary store and incoming-state multisets exactly as
+// they stood at this point of the recorded run (equality holds
+// inductively — every earlier event replayed identically). A trigger
+// spawned again must have panicked within its retry budget the time
+// before: the recorded run applied that outcome, which leaves no event,
+// before it respawned.
+func (h *hybrid[S, R, P]) replaySpawn(e TraceEvent) error {
+	r := h.replay
+	if prev, ok := r.stash[e.Trigger]; ok {
+		if retry, _ := h.apply(prev); !retry {
+			return fmt.Errorf("%w: %s respawned at seq %d but its previous run_bu earned no retry",
+				ErrTraceMismatch, e.Trigger, e.Seq)
+		}
+	}
+	c := h.runBU(e.Trigger, h.frontier(e.Trigger), h.res.BU, h.res.TD.EntrySeen)
+	// Counters are charged at the spawn, as the recorded run charges every
+	// spawned worker's by its end, even if the replay stops before the
+	// outcome's event.
+	h.res.BUStats.add(c.stats)
+	c.stats = BUStats{}
+	r.stash[e.Trigger] = c
+	return nil
+}
+
+// replayOutcome applies a stashed spawn outcome at its recorded
+// install/fail event, verifying the replayed run_bu agreed with the
+// recorded one about succeeding.
+func (h *hybrid[S, R, P]) replayOutcome(e TraceEvent) error {
+	c, ok := h.replay.stash[e.Trigger]
+	if !ok {
+		return fmt.Errorf("%w: %s of %s at seq %d without a preceding spawn",
+			ErrTraceMismatch, e.Kind, e.Trigger, e.Seq)
+	}
+	delete(h.replay.stash, e.Trigger)
+	switch {
+	case e.Kind == TraceInstall && c.err != nil:
+		return fmt.Errorf("%w: trace installs %s but the replayed run_bu failed: %v",
+			ErrTraceMismatch, e.Trigger, c.err)
+	case e.Kind == TraceFail && c.err == nil:
+		return fmt.Errorf("%w: trace fails %s but the replayed run_bu succeeded",
+			ErrTraceMismatch, e.Trigger)
+	case e.Kind != TraceInstall && e.Kind != TraceFail:
+		return fmt.Errorf("%w: unexpected %s event at seq %d", ErrTraceMismatch, e.Kind, e.Seq)
+	}
+	retry, err := h.apply(c)
+	if retry {
+		return fmt.Errorf("%w: trace fails %s but the replayed run_bu earned a retry",
+			ErrTraceMismatch, e.Trigger)
+	}
+	if err != nil {
+		h.abort(e.Trigger, err)
+	}
+	return nil
+}
+
+// replayTail processes the drain-phase tail of the trace in list order.
+func (h *hybrid[S, R, P]) replayTail() error {
+	r := h.replay
+	for r.cursor < len(r.trace.Events) {
+		e := r.trace.Events[r.cursor]
+		r.cursor++
+		if e.Kind == TraceSpawn {
+			if err := h.replaySpawn(e); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := h.replayOutcome(e); err != nil {
+			return err
+		}
+		if h.aborted {
+			return errWorkerFailed
+		}
+	}
+	if len(r.stash) > 0 {
+		return fmt.Errorf("%w: trace ended with unresolved spawns: %v",
+			ErrTraceMismatch, newSortedSet(keysOf(r.stash)))
+	}
+	return nil
 }

@@ -83,6 +83,38 @@ func TestReplayMatchesRecord(t *testing.T) {
 	checkNoLeakedGoroutines(t, before)
 }
 
+// TestReplayMatchesRecordUnderPanics replays a schedule whose trigger
+// panics on every attempt: the recorded run retries it once (a respawn
+// with no event in between) before failing it, and the replay must count
+// both contained panics, as the recorded run did.
+func TestReplayMatchesRecordUnderPanics(t *testing.T) {
+	before := runtime.NumGoroutine()
+	init := drainClient().State(drainClient().MakeBits())
+	run := func(cfg core.Config) *core.Result[string, string, string] {
+		client := core.Synchronized[string, string, string](&rtransPanicClient{Client: drainClient()})
+		an, err := core.NewAnalysis[string, string, string](client, drainProgram())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.K = 1
+		return an.RunSwiftAsync(init, cfg)
+	}
+	trace := &core.Trace{}
+	cfg := core.DefaultConfig()
+	cfg.RecordTrace = trace
+	rec := run(cfg)
+	if rec.Err != nil || rec.ClientPanics != 2 {
+		t.Fatalf("record: err=%v ClientPanics=%d, want nil and 2", rec.Err, rec.ClientPanics)
+	}
+	cfg = core.DefaultConfig()
+	cfg.ReplayTrace = trace
+	rep := run(cfg)
+	if got, want := fingerprintResult(rep, "main", init), fingerprintResult(rec, "main", init); got != want {
+		t.Errorf("replay diverges from record\n--- record ---\n%s--- replay ---\n%s", want, got)
+	}
+	checkNoLeakedGoroutines(t, before)
+}
+
 // TestReplayDeterministicParallel is the acceptance pin: replaying one
 // recorded trace on fresh, identically built pipelines is bit-identical,
 // including when the replays run concurrently with each other (run with

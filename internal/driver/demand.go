@@ -253,10 +253,8 @@ type DemandEvaluator struct {
 // on cache state, exactly why Warm.Run bypasses the store for them) and
 // binds the evaluator. A nil memo gets a fresh default-capacity one.
 func NewDemandEvaluator(b *Build, engine string, cfg core.Config, memo *SliceMemo) (*DemandEvaluator, error) {
-	switch engine {
-	case "td", "bu", "swift", "swift-async":
-	default:
-		return nil, fmt.Errorf("driver: unknown engine %q (want td, bu, swift or swift-async)", engine)
+	if err := core.Engines.Check(engine); err != nil {
+		return nil, fmt.Errorf("driver: %w", err)
 	}
 	if cfg.Fault != nil {
 		return nil, fmt.Errorf("driver: demand queries are incompatible with fault injection")

@@ -92,8 +92,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Engine == "" {
 		req.Engine = "swift"
 	}
-	if !validEngines[req.Engine] {
-		s.httpError(w, http.StatusBadRequest, "unknown engine %q (want td, bu, swift or swift-async)", req.Engine)
+	if err := core.Engines.Check(req.Engine); err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if (req.Query == nil) == (len(req.Queries) == 0) {

@@ -364,8 +364,6 @@ func errorBody(format string, args ...any) []byte {
 	return append(blob, '\n')
 }
 
-var validEngines = map[string]bool{"td": true, "bu": true, "swift": true, "swift-async": true}
-
 // admit runs the shared request preamble: method, drain state and body
 // cap. It reports whether the handler should proceed.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
@@ -493,8 +491,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if req.Engine == "" {
 		req.Engine = "swift"
 	}
-	if !validEngines[req.Engine] {
-		s.httpError(w, http.StatusBadRequest, "unknown engine %q (want td, bu, swift or swift-async)", req.Engine)
+	if err := core.Engines.Check(req.Engine); err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	cfg := core.DefaultConfig()
