@@ -113,14 +113,17 @@ type Client[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] interface {
 // with whatever per-primitive memoization the client can key on its
 // interned representations. The returned function must append exactly what
 // Trans(c, s) returns (same states, same order) to dst and return the
-// extended slice, and must be safe for concurrent use if the client itself
-// is.
+// extended slice, must intern new states in the same order Trans does (so
+// a run's state IDs do not depend on which form served a transfer), and
+// must be safe for concurrent use if the client itself is.
 //
-// The tabulation solver probes for this interface on the compressed view
-// and composes superblock chains out of compiled transfers; clients that
-// do not implement it are served by plain Trans. The raw view never uses
-// compiled transfers: the hybrid engines replay raw Trans output
-// bit-for-bit from the transfer memo (see DESIGN.md).
+// The tabulation solver probes for this interface on both views: the
+// compressed view composes superblock chains out of compiled transfers,
+// and the raw view stores a compiled transfer's output verbatim in the
+// transfer memo, which the hybrid engines replay bit-for-bit (see
+// DESIGN.md). Clients that do not implement it are served by plain Trans,
+// as are fault-armed runs (see effectiveClient); by the contract above
+// neither difference is observable.
 type TransCompiler[S cmp.Ordered] interface {
 	CompileTrans(c *ir.Prim) func(s S, dst []S) []S
 }

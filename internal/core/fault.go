@@ -222,7 +222,9 @@ func contain(errp *error) {
 // effectiveClient wraps the client with the fault layer when a plan is
 // armed. The wrapper intentionally does not forward the TransCompiler
 // capability: compiled transfers would bypass operation counting, and a
-// fault sweep must see every transfer application.
+// fault sweep must see every transfer application. The armed run therefore
+// takes plain Trans, which the TransCompiler contract makes unobservable
+// down to the interned state IDs.
 func effectiveClient[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 	c Client[S, R, P], config Config,
 ) Client[S, R, P] {

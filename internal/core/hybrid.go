@@ -290,7 +290,8 @@ func (a *Analysis[S, R, P]) runHybrid(engine string, initial S, config Config, a
 	}
 	// The hybrid engines step the raw view: trigger timing depends on pop
 	// order, which compression would change (see tdView). They still get
-	// the transfer memo, whose hits replay raw Trans output bit-for-bit.
+	// the compiled transfers and the transfer memo, whose hits replay the
+	// raw transfer output bit-for-bit.
 	// For the same reason the sparse scheduler stays off here (nil index):
 	// reordering pops would move the EntrySeen samples triggers rank by.
 	t := newTDSolver(h.client, a.raw(), config, h, nil)

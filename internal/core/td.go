@@ -169,10 +169,11 @@ type interceptor[S cmp.Ordered] interface {
 // allocations.
 //
 // On the compressed view every set is canonical (sorted, deduplicated). On
-// the raw view the single set per entry is the client's raw Trans output
-// with order and duplicates preserved, so replaying a memo hit propagates
-// bit-for-bit like calling Trans again — the hybrid engines depend on that
-// (see DESIGN.md).
+// the raw view the single set per entry is the transfer's output with
+// order and duplicates preserved — the compiled transfer's when the client
+// has one, which equals Trans's (TransCompiler) — so replaying a memo hit
+// propagates bit-for-bit like calling Trans again; the hybrid engines
+// depend on that (see DESIGN.md).
 type seMemo[S cmp.Ordered] struct {
 	idx    map[S]int32
 	starts []int32
@@ -207,9 +208,10 @@ type tdSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	frontB []S
 	// compiler/cchains hold the client's compiled transfers
 	// (TransCompiler), resolved lazily per superedge into a chain of
-	// append-style functions indexed like se.Prims. Non-nil only on the
-	// compressed view: the raw view must observe raw Trans output verbatim
-	// for the hybrid engines' bit-exact memo replay.
+	// append-style functions indexed like se.Prims; nil when the client
+	// compiles nothing. Both views use them: a compiled transfer returns
+	// Trans's states in Trans's order and interns them in Trans's order,
+	// so the raw view's verbatim memo (see seMemo) is unchanged by it.
 	compiler TransCompiler[S]
 	cchains  [][]func(S, []S) []S
 	// sp is the sparse scheduler state, nil for a dense run. Set only by
@@ -259,11 +261,9 @@ func newTDSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 		memo:    make([]*seMemo[S], view.NumSuperEdges),
 		dl:      newDeadline(config),
 	}
-	if view.Compressed {
-		if tc, ok := client.(TransCompiler[S]); ok {
-			t.compiler = tc
-			t.cchains = make([][]func(S, []S) []S, view.NumSuperEdges)
-		}
+	if tc, ok := client.(TransCompiler[S]); ok {
+		t.compiler = tc
+		t.cchains = make([][]func(S, []S) []S, view.NumSuperEdges)
 	}
 	if sidx != nil {
 		t.sp = newSparseState[S](sidx, config, &res.Sparse)
@@ -464,9 +464,9 @@ func (t *tdSolver[S, R, P]) step(item workItem[S]) error {
 // chain's final states propagate to the superedge target.
 func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
 	if !t.view.Compressed {
-		// Per-element, in raw Trans order: the hybrid engines replay memo
-		// hits bit-for-bit through this path (see seMemo). The reference
-		// path calls the client afresh instead.
+		// Per-element, in raw transfer order: the hybrid engines replay
+		// memo hits bit-for-bit through this path (see seMemo). The
+		// reference path calls the client's plain Trans afresh instead.
 		if t.config.solver == pathReference {
 			for _, s := range t.client.Trans(se.Prims[0], out) {
 				if err := t.propagate(se.To.ID, in, s); err != nil {
@@ -531,10 +531,15 @@ func (t *tdSolver[S, R, P]) computeChain(se *ir.SuperEdge, s0 S, m *seMemo[S]) i
 	m.starts = append(m.starts, int32(len(m.states)))
 	if len(se.Prims) == 1 {
 		if !t.view.Compressed {
-			// Raw Trans output, order and duplicates preserved: see seMemo.
-			finals := t.client.Trans(se.Prims[0], s0)
-			m.states = append(m.states, finals...)
-			m.lens = append(m.lens, int32(len(finals)))
+			// Raw transfer output, order and duplicates preserved, appended
+			// straight into the arena: see seMemo.
+			start := len(m.states)
+			if fs := t.chainFuncs(se); fs != nil {
+				m.states = fs[0](s0, m.states)
+			} else {
+				m.states = append(m.states, t.client.Trans(se.Prims[0], s0)...)
+			}
+			m.lens = append(m.lens, int32(len(m.states)-start))
 			return k
 		}
 		// The compressed traverse path batch-merges every set, which needs

@@ -18,10 +18,12 @@ import (
 // abstract-state intern.
 //
 // The compiled function appends exactly what Trans(c, s) returns — same
-// states, same order — so the solvers can use either form interchangeably;
-// TestCompiledTransMatchesTrans checks the agreement exhaustively on the
-// states reached by a run, and the cross-view equivalence tests in
-// internal/core cover it end to end.
+// states, same order — and interns new abstract states in the same order
+// Trans does, so the solvers can use either form interchangeably down to
+// the raw interned IDs. TestCompiledTransMatchesTrans checks the agreement
+// exhaustively on the states reached by a run,
+// TestCompiledTransInternOrder checks the intern order on twin analyses,
+// and TestCompiledTransUnobservable (internal/driver) covers it end to end.
 
 // CompileTrans implements core.TransCompiler[AbsID]. The returned function
 // is safe for concurrent use (all caches are the sharded tables of the
@@ -63,13 +65,15 @@ func (a *Analysis) compileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
 		vpSet := t.internSet([]PathID{vp})
 		site := t.siteIDs[c.Site]
 		tracked := a.spawnsAt(site)
-		var fresh AbsID
+		// The fresh-object state is state-independent, but it is interned
+		// per call, after the survivor, exactly as Trans does: interning
+		// it here would permute abstract-state IDs against Trans.
+		var fresh absState
 		if tracked {
-			// The fresh-object state is entirely state-independent.
-			fresh = t.internAbs(absState{
+			fresh = absState{
 				h: site, t: t.propBase[t.sitePropOf[site]],
 				a: vpSet, nc: rootedID,
-			})
+			}
 		}
 		return func(s AbsID, dst []AbsID) []AbsID {
 			st := t.absOf(s)
@@ -83,7 +87,7 @@ func (a *Analysis) compileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
 				nc: nc,
 			}))
 			if tracked {
-				dst = append(dst, fresh)
+				dst = append(dst, t.internAbs(fresh))
 			}
 			return dst
 		}

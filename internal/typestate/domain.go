@@ -1,7 +1,6 @@
 package typestate
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -107,8 +106,8 @@ type tables struct {
 	rootedOf map[string][]PathID // variable → sorted paths rooted at it
 	fieldOf  map[string][]PathID // field → sorted paths carrying it
 
-	// path sets, keyed by the canonical i32key encoding
-	sets *interner[string, []PathID]
+	// path sets, keyed by their sorted elements
+	sets *sliceInterner[PathID]
 	// univSet is the set of all paths; it is the nc component of states
 	// with an empty must-not set.
 	univSet SetID
@@ -126,8 +125,8 @@ type tables struct {
 	localOfG []State
 	isErrorG []bool
 
-	// transformers, keyed by the canonical i32key encoding of the vector
-	trans       *interner[string, []GState]
+	// transformers, keyed by their state vectors
+	trans       *sliceInterner[GState]
 	idTrans     TransID
 	errTrans    TransID // per-property error; None stays None
 	methodTrans *memoMap[string, TransID]
@@ -143,8 +142,8 @@ type tables struct {
 	// abstract states
 	abs *interner[absState, absState]
 
-	// formulas (sorted literal conjunctions, keyed by i32key encoding)
-	forms *interner[string, []literal]
+	// formulas, keyed by their sorted literal conjunctions
+	forms *sliceInterner[literal]
 
 	// may-alias oracle matrix: mayAlias[p][h]
 	mayAlias [][]bool
@@ -154,15 +153,6 @@ type tables struct {
 	// apply, and the reason the paper's dominant relational case is "the
 	// identity function with a certain precondition".
 	relevant []bool
-}
-
-// i32key encodes an int32 slice as a compact map key.
-func i32key[T ~int32](xs []T) string {
-	b := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
-	return string(b)
 }
 
 // ---- paths ----
@@ -179,14 +169,9 @@ func (t *tables) pathString(p PathID) string { return t.pathAt(p).String() }
 
 // ---- path sets ----
 
-func (t *tables) internSet(sorted []PathID) SetID {
-	key := i32key(sorted)
-	return SetID(t.sets.intern(key, func() []PathID {
-		cp := make([]PathID, len(sorted))
-		copy(cp, sorted)
-		return cp
-	}))
-}
+// internSet interns a sorted, duplicate-free path slice; the slice is
+// copied only when it is new, so callers may pass scratch buffers.
+func (t *tables) internSet(sorted []PathID) SetID { return SetID(t.sets.intern(sorted)) }
 
 func (t *tables) setElems(s SetID) []PathID { return t.sets.at(int32(s)) }
 
@@ -204,12 +189,19 @@ func (t *tables) setHas(s SetID, p PathID) bool {
 	return lo < len(elems) && elems[lo] == p
 }
 
+// scratchPaths sizes the stack buffers the set operations build their
+// results in: internSet copies a result only when it is new, so a result
+// that is already interned — the common case — allocates nothing.
+// Larger results spill to the heap through append.
+const scratchPaths = 256
+
 func (t *tables) setInsert(s SetID, p PathID) SetID {
 	if t.setHas(s, p) {
 		return s
 	}
 	elems := t.setElems(s)
-	out := make([]PathID, 0, len(elems)+1)
+	var buf [scratchPaths]PathID
+	out := buf[:0]
 	done := false
 	for _, e := range elems {
 		if !done && p < e {
@@ -230,7 +222,8 @@ func (t *tables) setMinus(s SetID, rm []PathID) SetID {
 		return s
 	}
 	elems := t.setElems(s)
-	out := make([]PathID, 0, len(elems))
+	var buf [scratchPaths]PathID
+	out := buf[:0]
 	i := 0
 	for _, e := range elems {
 		for i < len(rm) && rm[i] < e {
@@ -258,7 +251,8 @@ func (t *tables) setUnion(a, b SetID) SetID {
 	if len(eb) == 0 {
 		return a
 	}
-	out := make([]PathID, 0, len(ea)+len(eb))
+	var buf [scratchPaths]PathID
+	out := buf[:0]
 	i, j := 0, 0
 	for i < len(ea) && j < len(eb) {
 		switch {
@@ -335,7 +329,8 @@ func (t *tables) setIntersect(a, b SetID) SetID {
 		return a
 	}
 	ea, eb := t.setElems(a), t.setElems(b)
-	out := make([]PathID, 0, min(len(ea), len(eb)))
+	var buf [scratchPaths]PathID
+	out := buf[:0]
 	i, j := 0, 0
 	for i < len(ea) && j < len(eb) {
 		switch {
@@ -440,13 +435,7 @@ func (t *tables) internSite(name string, propIdx int) SiteID {
 
 // ---- transformers ----
 
-func (t *tables) internTrans(vec []GState) TransID {
-	return TransID(t.trans.intern(i32key(vec), func() []GState {
-		cp := make([]GState, len(vec))
-		copy(cp, vec)
-		return cp
-	}))
-}
+func (t *tables) internTrans(vec []GState) TransID { return TransID(t.trans.intern(vec)) }
 
 // applyTrans applies transformer ι to a global state.
 func (t *tables) applyTrans(id TransID, g GState) GState { return t.trans.at(int32(id))[g] }
@@ -507,13 +496,7 @@ func (t *tables) absOf(id AbsID) absState { return t.abs.at(int32(id)) }
 // ---- formulas ----
 
 // internFormula interns a sorted, duplicate-free literal conjunction.
-func (t *tables) internFormula(sorted []literal) FormulaID {
-	return FormulaID(t.forms.intern(i32key(sorted), func() []literal {
-		cp := make([]literal, len(sorted))
-		copy(cp, sorted)
-		return cp
-	}))
-}
+func (t *tables) internFormula(sorted []literal) FormulaID { return FormulaID(t.forms.intern(sorted)) }
 
 // formLits returns the literal conjunction interned under f.
 func (t *tables) formLits(f FormulaID) []literal { return t.forms.at(int32(f)) }

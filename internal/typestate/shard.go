@@ -1,6 +1,7 @@
 package typestate
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -18,11 +19,17 @@ import (
 // Design: a two-phase lookup with a striped write path.
 //
 //   - The key→ID map of each table is hash-partitioned into shardCount
-//     shards, each guarded by its own RWMutex. A lookup hashes the value's
-//     canonical encoding, read-locks only that shard, and — on a miss —
-//     write-locks only that shard to install the new entry (with a
-//     double-check, so concurrent interns of the same value always return
-//     the same ID).
+//     shards, each guarded by its own RWMutex. A lookup hashes the value,
+//     read-locks only that shard, and — on a miss — write-locks only that
+//     shard to install the new entry (with a double-check, so concurrent
+//     interns of the same value always return the same ID).
+//   - Structured values (paths, abstract states, relations) key their
+//     shard maps directly (interner). The int32-slice tables (path sets,
+//     transformer vectors, formulas) key theirs by a 64-bit word-by-word
+//     hash of the elements, with a chain of the IDs sharing that hash
+//     compared element-wise against the stored contents (sliceInterner):
+//     a hit builds no key, allocates nothing and hashes each element
+//     once; only a miss copies the slice.
 //   - Dense IDs are allocated from one atomic counter per table. A
 //     fetch-add is wait-free, so ID allocation never becomes the
 //     serialization point the old global write lock was.
@@ -155,6 +162,93 @@ func (it *interner[K, V]) at(id int32) V { return it.store.get(id) }
 // is a lower bound on published entries plus in-flight reservations.
 func (it *interner[K, V]) size() int { return int(it.n.Load()) }
 
+// sliceShard is one lock stripe of a sliceInterner. m maps a hash to the
+// first ID interned under it; more holds the further IDs of a hash shared
+// by distinct values (nil until the stripe sees its first collision). The
+// padding rounds the stripe up to a 64-byte cache line.
+type sliceShard struct {
+	mu   sync.RWMutex
+	m    map[uint64]int32
+	more map[uint64][]int32
+	_    [24]byte
+}
+
+// sliceInterner assigns dense int32 IDs to int32-kinded slices by content.
+// Same concurrency contract, ID order and density as interner; see the
+// file comment for the keying scheme.
+type sliceInterner[T ~int32] struct {
+	n      atomic.Int32
+	store  pagedStore[[]T]
+	shards [shardCount]sliceShard
+}
+
+func newSliceInterner[T ~int32]() *sliceInterner[T] {
+	it := &sliceInterner[T]{store: newPagedStore[[]T]()}
+	for i := range it.shards {
+		it.shards[i].m = map[uint64]int32{}
+	}
+	return it
+}
+
+// intern returns the dense ID of the slice's contents. xs is copied on
+// first intern only, so callers may pass scratch buffers.
+func (it *sliceInterner[T]) intern(xs []T) int32 {
+	return it.internHashed(hashI32s(xs), xs)
+}
+
+// internHashed interns xs under a precomputed hash of it; tests pass
+// colliding hashes to exercise the chains.
+func (it *sliceInterner[T]) internHashed(h uint64, xs []T) int32 {
+	sh := &it.shards[h&shardMask]
+	sh.mu.RLock()
+	id, ok := it.find(sh, h, xs)
+	sh.mu.RUnlock()
+	if ok {
+		return id
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if id, ok := it.find(sh, h, xs); ok {
+		return id
+	}
+	id = it.n.Add(1) - 1
+	cp := make([]T, len(xs))
+	copy(cp, xs)
+	it.store.set(id, cp) // before the ID is published, as in interner
+	if _, taken := sh.m[h]; !taken {
+		sh.m[h] = id
+	} else {
+		if sh.more == nil {
+			sh.more = map[uint64][]int32{}
+		}
+		sh.more[h] = append(sh.more[h], id)
+	}
+	return id
+}
+
+// find looks xs up in its stripe; the caller holds the stripe's lock.
+func (it *sliceInterner[T]) find(sh *sliceShard, h uint64, xs []T) (int32, bool) {
+	id, ok := sh.m[h]
+	if !ok {
+		return 0, false
+	}
+	if slices.Equal(it.store.get(id), xs) {
+		return id, true
+	}
+	for _, id := range sh.more[h] {
+		if slices.Equal(it.store.get(id), xs) {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// at returns the slice interned under id; callers must not mutate it.
+func (it *sliceInterner[T]) at(id int32) []T { return it.store.get(id) }
+
+// size returns the number of interned slices (see interner.size).
+func (it *sliceInterner[T]) size() int { return int(it.n.Load()) }
+
 // memoMap is a sharded memoization map for derived values that carry no
 // ID of their own (transformer composition, method transformers). Both
 // sides of a racing put compute equal values — the memoized functions are
@@ -195,9 +289,11 @@ func (mm *memoMap[K, V]) put(k K, v V) {
 
 // ---- hashing ----
 
-// FNV-1a over the canonical encodings of interned values. The hash only
-// picks a lock stripe — it plays no part in ID assignment — so its quality
-// affects contention, never determinism.
+// FNV-style multiply-xor hashing. For the structured interners and the
+// memo maps the hash only picks a lock stripe, so its quality affects
+// contention, never determinism. For sliceInterner it is also the shard
+// map key, and a collision costs one extra element-wise comparison —
+// never a wrong ID.
 
 const (
 	fnvOffset = 0xcbf29ce484222325
@@ -218,6 +314,23 @@ func mix(h, x uint64) uint64 {
 	h ^= x
 	h *= fnvPrime
 	return h
+}
+
+// hashI32s hashes an int32 slice two elements per 64-bit word, with the
+// length folded in first and a final avalanche so the low bits that pick
+// a stripe depend on every element.
+func hashI32s[T ~int32](xs []T) uint64 {
+	h := mix(uint64(fnvOffset), uint64(len(xs)))
+	i := 0
+	for ; i+1 < len(xs); i += 2 {
+		h = mix(h, uint64(uint32(xs[i]))|uint64(uint32(xs[i+1]))<<32)
+	}
+	if i < len(xs) {
+		h = mix(h, uint64(uint32(xs[i])))
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>33
 }
 
 func hashPath(p path) uint64 {

@@ -9,6 +9,7 @@ package typestate
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,7 +36,7 @@ func workloadSets(ts *Analysis, n int, seed int64) [][]PathID {
 		// Salt with out-of-universe paths so n distinct sets exist even for
 		// small universes; the interner never dereferences path IDs.
 		s = append(s, PathID(ts.tab.numPaths()+rng.Intn(4*n)))
-		k := i32key(s)
+		k := fmt.Sprint(s)
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, s)
@@ -102,8 +103,50 @@ func TestShardedInternerAgreement(t *testing.T) {
 			t.Fatalf("set %d: id %d assigned to two distinct values", i, id)
 		}
 		seen[id] = true
-		if got := i32key(ts.tab.setElems(id)); got != i32key(sets[i]) {
+		if !slices.Equal(ts.tab.setElems(id), sets[i]) {
 			t.Fatalf("set %d: id %d dereferences to a different value", i, id)
+		}
+	}
+}
+
+// TestShardedInternerCollisionChains forces every value onto one 64-bit
+// hash, so the slice interner must tell values apart by their contents
+// alone: distinct values get dense IDs in first-intern order, equal values
+// (including empty and nil slices) share one, and concurrent interns of
+// the chain agree.
+func TestShardedInternerCollisionChains(t *testing.T) {
+	const h = 42
+	vals := [][]int32{{1, 2}, {2, 1}, {1, 2, 3}, nil, {7}}
+	it := newSliceInterner[int32]()
+	for i, v := range vals {
+		if got := it.internHashed(h, v); got != int32(i) {
+			t.Fatalf("value %v: id %d, want %d", v, got, i)
+		}
+	}
+	if got := it.internHashed(h, []int32{}); got != 3 {
+		t.Fatalf("empty slice: id %d, want the nil slice's 3", got)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range vals {
+				j := (i + g) % len(vals)
+				if got := it.internHashed(h, vals[j]); got != int32(j) {
+					t.Errorf("worker %d: value %v: id %d, want %d", g, vals[j], got, j)
+				}
+				it.internHashed(h, []int32{int32(100 + g)}) // grow the chain concurrently
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := it.size(), len(vals)+8; got != want {
+		t.Fatalf("size %d, want %d (one ID per distinct value)", got, want)
+	}
+	for i, v := range vals {
+		if !slices.Equal(it.at(int32(i)), v) {
+			t.Fatalf("id %d dereferences to %v, want %v", i, it.at(int32(i)), v)
 		}
 	}
 }
@@ -332,3 +375,46 @@ func BenchmarkInternContentionGlobalLock(b *testing.B) {
 		contentionLoop(pb, g, sets, gl.internSet, gl.internAbs)
 	})
 }
+
+// BenchmarkInternSet measures path-set interning at the sizes of a toba-s
+// run, whose must-not complements hold up to about 200 paths: a stream of
+// near-identical sets drawn from a pool, so the first intern of each value
+// misses and the rest hit, on fresh tables every pass of the stream. Run
+// with -benchmem.
+func BenchmarkInternSet(b *testing.B) {
+	const universe, poolSize, stream = 240, 512, 4096
+	rng := rand.New(rand.NewSource(3))
+	var base []PathID
+	for p := 0; p < universe; p++ {
+		if rng.Intn(5) != 0 {
+			base = append(base, PathID(p))
+		}
+	}
+	pool := make([][]PathID, poolSize)
+	for i := range pool {
+		// Neighbours of one set, as the transfer functions produce them:
+		// each drops a few paths of the base.
+		for _, p := range base {
+			if rng.Intn(20) != 0 {
+				pool[i] = append(pool[i], p)
+			}
+		}
+	}
+	seq := make([]int, stream)
+	for i := range seq {
+		seq[i] = rng.Intn(poolSize)
+	}
+	var ts *Analysis
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%stream == 0 {
+			b.StopTimer()
+			ts = benchAnalysis(b)
+			b.StartTimer()
+		}
+		benchSetSink = ts.tab.internSet(pool[seq[i%stream]])
+	}
+}
+
+var benchSetSink SetID

@@ -87,13 +87,13 @@ func (a *Analysis) sliceClone(sid SiteID) *Analysis {
 			mayAlias:   t.mayAlias,
 			relevant:   t.relevant,
 			// Mutable: fresh per slice, seeded by initMutable below.
-			sets:        newInterner[string, []PathID](hashString),
-			trans:       newInterner[string, []GState](hashString),
+			sets:        newSliceInterner[PathID](),
+			trans:       newSliceInterner[GState](),
 			methodTrans: newMemoMap[string, TransID](hashString),
 			composeMemo: newMemoMap[[2]TransID, TransID](hashTransPair),
 			setOpMemo:   newMemoMap[setOpKey, SetID](hashSetOp),
 			abs:         newInterner[absState, absState](hashAbs),
-			forms:       newInterner[string, []literal](hashString),
+			forms:       newSliceInterner[literal](),
 		},
 		rels: newInterner[rel, rel](hashRel),
 	}

@@ -97,7 +97,7 @@ func (r *Reader) Raw(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.pos+n > len(r.data) {
+	if n < 0 || n > len(r.data)-r.pos { // r.pos+n could overflow
 		r.fail("truncated input: need %d bytes at offset %d of %d", n, r.pos, len(r.data))
 		return nil
 	}
@@ -106,13 +106,15 @@ func (r *Reader) Raw(n int) []byte {
 	return b
 }
 
-// Uint consumes an unsigned varint.
+// Uint consumes an unsigned varint. Overlong forms (a trailing zero
+// continuation byte) are rejected, so every accepted record re-encodes to
+// exactly its input bytes.
 func (r *Reader) Uint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.data[r.pos+n-1] == 0 {
 		r.fail("bad uvarint at offset %d", r.pos)
 		return 0
 	}
@@ -120,18 +122,11 @@ func (r *Reader) Uint() uint64 {
 	return v
 }
 
-// Int consumes a zigzag-folded signed varint.
+// Int consumes a zigzag-folded signed varint (Uint's framing, as written
+// by binary.AppendVarint).
 func (r *Reader) Int() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail("bad varint at offset %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
+	u := r.Uint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Bool consumes a one-byte boolean.
